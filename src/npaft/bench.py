@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -423,13 +423,7 @@ def run_replication(scenario: SimScenario, fit_config: FitConfig,
     apply_censoring(sim, scenario.censoring, rng)
     dataset = sim.to_dataset()
     cfg_seed = int(fit_seq.generate_state(1)[0])
-    cfg = FitConfig(seed=cfg_seed, iterations=fit_config.iterations,
-                    burn_in=fit_config.burn_in, thin=fit_config.thin,
-                    chains=fit_config.chains, hyper=fit_config.hyper,
-                    prior=fit_config.prior, keep_forests=False,
-                    max_split_points=fit_config.max_split_points,
-                    calibration_draws=fit_config.calibration_draws,
-                    memory_budget_mb=fit_config.memory_budget_mb)
+    cfg = replace(fit_config, seed=cfg_seed, keep_forests=False)
     draws = fit(dataset, cfg)
     ite = ite_draws(draws, "log")
     dte = differential_effect(ite)

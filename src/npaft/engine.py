@@ -229,6 +229,10 @@ def fit(data: EncodedDataset, config: FitConfig,
     ``trace_hook(chain, iteration, step, payload)``, when given, is invoked
     after every step of every iteration, making the step order auditable.
     """
+    arms = np.unique(data.a)
+    if arms.size < 2:
+        raise DataError(f"every row is in arm {int(arms[0])}; treatment effects "
+                        "need rows in both arms")
     transform = fit_intercept_lognormal_aft(data)
     data_tr = transform_responses(data, transform)
 

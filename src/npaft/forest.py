@@ -11,12 +11,20 @@ The structure prior splits a depth-``d`` node with probability
 ``alpha * (1 + d)**-beta``; a node with no legal cut is a forced leaf. Leaf
 values carry a Normal(0, zeta^2 / (4 J k^2)) prior, integrated out in closed
 form for the acceptance ratio.
+
+A proposal never copies the tree and leaves it as it was. Grow and prune are
+scored from the (sum, count) sufficient statistics of one leaf and its two
+children; change and swap re-route only the rows of the affected subtree
+into a scratch buffer and score its leaves' statistics. The tree changes
+only when the move is accepted (``apply_move``). One ``bincount`` pass per
+tree gives the leaf sums of the partial residuals; the sweep keeps them
+current through an accepted move and reuses them for the leaf-value draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,15 +97,16 @@ def leaf_log_marginal(residual_sum: float, residual_sq_sum: float, count: int,
             + sm2 * residual_sum ** 2 / (2.0 * s2 * denom))
 
 
-def _collapsed_terms(sums: np.ndarray, counts: np.ndarray, s2: float, sm2: float) -> float:
+def _collapsed_term(total: float, count: int, s2: float, sm2: float) -> float:
     # leaf_log_marginal minus the pieces that are invariant under re-partitioning
     # a fixed row set: -(n/2) log(2 pi s2) and -sum(r^2)/(2 s2)
-    denom = s2 + counts * sm2
-    return float(np.sum(0.5 * np.log(s2 / denom) + sm2 * sums ** 2 / (2.0 * s2 * denom)))
+    denom = s2 + count * sm2
+    return 0.5 * math.log(s2 / denom) + sm2 * (total * total) / (2.0 * s2 * denom)
 
 
 class TreeWorkspace:
-    """Shared per-chain view of the predictor matrix and split grids."""
+    """Shared per-chain view of the predictor matrix and split grids, plus a
+    row-length scratch buffer that proposals re-route rows into."""
 
     def __init__(self, U: np.ndarray, grids: list[np.ndarray]):
         U = np.asarray(U, dtype=float)
@@ -109,19 +118,25 @@ class TreeWorkspace:
         self.cols = [np.ascontiguousarray(U[:, k]) for k in range(U.shape[1])]
         self.grids = [np.asarray(g, dtype=float) for g in grids]
         self.n, self.p = U.shape
-        self.splittable_cols = [k for k, g in enumerate(self.grids) if g.size >= 1]
+        self.grid_sizes = [g.size for g in self.grids]
+        self.splittable_cols = [k for k, size in enumerate(self.grid_sizes) if size >= 1]
+        # (col, lo, hi) of every splittable column at an unconstrained node
+        self.full_legal = [(k, 0, self.grid_sizes[k]) for k in self.splittable_cols]
+        self.legal_pos = {k: i for i, k in enumerate(self.splittable_cols)}
+        self.scratch = np.empty(self.n, dtype=np.intp)
 
 
 class Tree:
     """One binary decision tree bound to a workspace.
 
     Node fields live in parallel lists; ``var[v] == -1`` marks a leaf.
-    ``leaf_of_row`` maps every training row to its leaf node id and is kept
-    consistent by every structural operation.
+    ``leaf_of_row`` maps every training row to its leaf node id and
+    ``count[v]`` holds the number of rows in leaf ``v``; every structural
+    operation keeps both consistent.
     """
 
     __slots__ = ("ws", "var", "cut_idx", "left", "right", "parent", "depth",
-                 "values", "leaf_ids", "internal_ids", "leaf_of_row", "free")
+                 "values", "leaf_ids", "internal_ids", "leaf_of_row", "count", "free")
 
     def __init__(self, ws: TreeWorkspace):
         self.ws = ws
@@ -134,26 +149,11 @@ class Tree:
         self.values = np.zeros(1)
         self.leaf_ids = [0]
         self.internal_ids: list[int] = []
-        self.leaf_of_row = np.zeros(ws.n, dtype=np.int32)
+        self.leaf_of_row = np.zeros(ws.n, dtype=np.intp)
+        self.count = [ws.n]
         self.free: list[int] = []
 
     # -- structure -----------------------------------------------------
-
-    def copy(self) -> "Tree":
-        t = Tree.__new__(Tree)
-        t.ws = self.ws
-        t.var = self.var.copy()
-        t.cut_idx = self.cut_idx.copy()
-        t.left = self.left.copy()
-        t.right = self.right.copy()
-        t.parent = self.parent.copy()
-        t.depth = self.depth.copy()
-        t.values = self.values.copy()
-        t.leaf_ids = self.leaf_ids.copy()
-        t.internal_ids = self.internal_ids.copy()
-        t.leaf_of_row = self.leaf_of_row.copy()
-        t.free = self.free.copy()
-        return t
 
     def is_leaf(self, v: int) -> bool:
         return self.var[v] < 0
@@ -171,6 +171,7 @@ class Tree:
         self.right.append(-1)
         self.parent.append(-1)
         self.depth.append(0)
+        self.count.append(0)
         if len(self.var) > self.values.shape[0]:
             self.values = np.append(self.values, 0.0)
         return len(self.var) - 1
@@ -193,6 +194,9 @@ class Tree:
         self.leaf_ids.remove(leaf)
         self.leaf_ids.extend((lid, rid))
         self.internal_ids.append(leaf)
+        n_left = int(np.count_nonzero(go_left))
+        self.count[lid] = n_left
+        self.count[rid] = rows.shape[0] - n_left
         self.leaf_of_row[rows[go_left]] = lid
         self.leaf_of_row[rows[~go_left]] = rid
         return lid, rid
@@ -208,6 +212,7 @@ class Tree:
         self.left[v] = self.right[v] = -1
         self.internal_ids.remove(v)
         self.leaf_ids.append(v)
+        self.count[v] = self.count[lid] + self.count[rid]
         self.leaf_of_row[rows_mask] = v
 
     def prunable_nodes(self) -> list[int]:
@@ -233,10 +238,11 @@ class Tree:
     def intervals_at(self, v: int) -> dict[int, tuple[int, int]]:
         """Legal cut-index interval [lo, hi) per column constrained above ``v``."""
         iv: dict[int, tuple[int, int]] = {}
+        sizes = self.ws.grid_sizes
         child, node = v, self.parent[v]
         while node >= 0:
             k, ci = self.var[node], self.cut_idx[node]
-            lo, hi = iv.get(k, (0, self.ws.grids[k].size))
+            lo, hi = iv.get(k, (0, sizes[k]))
             if child == self.left[node]:
                 hi = min(hi, ci)
             else:
@@ -246,29 +252,60 @@ class Tree:
         return iv
 
     def legal_columns(self, intervals: dict[int, tuple[int, int]]) -> list[tuple[int, int, int]]:
-        """Columns with at least one legal cut, as (col, lo, hi) triples."""
-        out = []
-        for k in self.ws.splittable_cols:
-            lo, hi = intervals.get(k, (0, self.ws.grids[k].size))
+        """Columns with at least one legal cut, as (col, lo, hi) triples.
+
+        Starts from the workspace's full list and touches only the columns
+        in ``intervals``; the result must not be modified.
+        """
+        full = self.ws.full_legal
+        if not intervals:
+            return full
+        out = list(full)
+        pos = self.ws.legal_pos
+        dropped = []
+        for k, (lo, hi) in intervals.items():
             if hi > lo:
-                out.append((k, lo, hi))
+                out[pos[k]] = (k, lo, hi)
+            else:
+                dropped.append(pos[k])
+        for i in sorted(dropped, reverse=True):
+            del out[i]
         return out
+
+    def n_legal_columns(self, intervals: dict[int, tuple[int, int]]) -> int:
+        """``len(legal_columns(intervals))`` without building the list."""
+        return (len(self.ws.splittable_cols)
+                - sum(1 for lo, hi in intervals.values() if hi <= lo))
 
     # -- routing and prediction -------------------------------------------
 
-    def route_rows(self, start: int, rows: np.ndarray, out: np.ndarray) -> None:
-        """Send ``rows`` down from ``start``, writing leaf ids into ``out[rows]``."""
-        cols, grids = self.ws.cols, self.ws.grids
-        stack = [(start, rows)]
+    def reroute_subtree(self, v: int) -> tuple[np.ndarray, np.ndarray, dict[int, int]] | None:
+        """Route the rows now under ``v`` through its current rules.
+
+        Returns the rows (ascending), the leaf each reaches, and the row
+        count per leaf under ``v``; None when some leaf would get no row.
+        ``leaf_of_row`` is left as it was.
+        """
+        lut = np.zeros(len(self.var), dtype=bool)
+        for leaf in self.leaves_under(v):
+            lut[leaf] = True
+        rows = np.nonzero(lut[self.leaf_of_row])[0]
+        cols, grids, out = self.ws.cols, self.ws.grids, self.ws.scratch
+        counts: dict[int, int] = {}
+        stack = [(v, rows)]
         while stack:
-            v, rr = stack.pop()
-            if self.var[v] < 0:
-                out[rr] = v
+            w, rr = stack.pop()
+            k = self.var[w]
+            if k < 0:
+                if rr.shape[0] == 0:
+                    return None
+                out[rr] = w
+                counts[w] = rr.shape[0]
                 continue
-            c = grids[self.var[v]][self.cut_idx[v]]
-            m = cols[self.var[v]][rr] <= c
-            stack.append((self.left[v], rr[m]))
-            stack.append((self.right[v], rr[~m]))
+            m = cols[k][rr] <= grids[k][self.cut_idx[w]]
+            stack.append((self.left[w], rr[m]))
+            stack.append((self.right[w], rr[~m]))
+        return rows, out[rows], counts
 
     def assign_with_columns(self, cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
         """Leaf assignment of ``rows`` under alternative column values."""
@@ -289,38 +326,38 @@ class Tree:
     def fit_vector(self) -> np.ndarray:
         return self.values[self.leaf_of_row]
 
-    def validate_subtree(self, v: int) -> tuple[bool, float]:
+    def validate_subtree(self, v: int,
+                         intervals: dict[int, tuple[int, int]] | None = None
+                         ) -> tuple[bool, float]:
         """Check rule legality below ``v``; return (ok, rule log-prior sum).
 
         The rule log-prior of an internal node is
         ``-log(#legal columns) - log(#legal cuts of its column)``.
+        ``intervals`` are those at ``v``, computed when not given.
         """
-        base = self.intervals_at(v)
+        base = self.intervals_at(v) if intervals is None else intervals
+        var, cut, sizes = self.var, self.cut_idx, self.ws.grid_sizes
         total = 0.0
-        stack = [(v, base)]
+        if var[v] < 0:
+            return True, total
+        # internal nodes only, each with its intervals and legal-column count
+        stack = [(v, base, self.n_legal_columns(base))]
         while stack:
-            w, iv = stack.pop()
-            if self.var[w] < 0:
-                continue
-            k, ci = self.var[w], self.cut_idx[w]
-            legal = self.legal_columns(iv)
-            width = 0
-            for kk, lo, hi in legal:
-                if kk == k:
-                    width = hi - lo
-                    if not (lo <= ci < hi):
-                        return False, -math.inf
-                    break
-            else:
+            w, iv, n_legal = stack.pop()
+            k, ci = var[w], cut[w]
+            lo, hi = iv.get(k, (0, sizes[k]))
+            if not lo <= ci < hi:
                 return False, -math.inf
-            total += -math.log(len(legal)) - math.log(width)
-            lo, hi = iv.get(k, (0, self.ws.grids[k].size))
-            ivl = dict(iv)
-            ivl[k] = (lo, ci)
-            ivr = dict(iv)
-            ivr[k] = (ci + 1, hi)
-            stack.append((self.left[w], ivl))
-            stack.append((self.right[w], ivr))
+            total += -math.log(n_legal) - math.log(hi - lo)
+            lw, rw = self.left[w], self.right[w]
+            if var[lw] >= 0:
+                ivl = dict(iv)
+                ivl[k] = (lo, ci)
+                stack.append((lw, ivl, n_legal - (ci <= lo)))
+            if var[rw] >= 0:
+                ivr = dict(iv)
+                ivr[k] = (ci + 1, hi)
+                stack.append((rw, ivr, n_legal - (ci + 1 >= hi)))
         return True, total
 
     def predict_row(self, u: np.ndarray) -> float:
@@ -344,55 +381,68 @@ def tree_predict(tree: Tree, u: np.ndarray) -> float:
 
 @dataclass
 class Proposal:
-    """One candidate tree move with everything the acceptance step needs."""
+    """One candidate tree move: its log prior and proposal ratios, and what
+    ``apply_move`` needs to carry it out. Building it leaves the tree as it was."""
 
     kind: str
-    tree: Tree | None
+    viable: bool = False
     log_prior_ratio: float = -math.inf
     log_q_ratio: float = 0.0
-    rows: np.ndarray | None = None
-    viable: bool = False
+    node: int = -1                    # grown leaf, pruned node, or top of the changed subtree
+    rules: tuple = ()                 # (node, var, cut_idx) rules the move sets
+    rows: np.ndarray | None = None    # grow: the leaf's rows; change/swap: the subtree's rows
+    route: np.ndarray | None = None   # grow: go-left flag per row; change/swap: new leaf per row
+    counts: dict | None = None        # change/swap: rows per leaf under ``node`` after the move
 
 
-def _child_splittable(legal: list[tuple[int, int, int]], k: int, lo: int, hi: int) -> bool:
-    # child differs from the parent only in column k's interval [lo, hi)
-    if hi > lo:
-        return True
-    return any(kk != k for kk, _, _ in legal)
+def _child_splittable(n_legal: int, lo: int, hi: int) -> bool:
+    # the child differs from its parent only in the split column's interval
+    # [lo, hi); it can split if that is non-empty or another column is legal
+    return hi > lo or n_legal > 1
+
+
+def _split_log_prior(tree: Tree, v: int, n_legal: int, width: int, lo: int,
+                     ci: int, hi: int, prior: ForestPrior) -> float:
+    """Log prior ratio of splitting leaf ``v`` on a rule with ``width`` legal
+    cuts at index ``ci`` of [lo, hi), against leaving it a leaf."""
+    d = tree.depth[v]
+    p_d = split_prob(d, prior)
+    p_d1 = split_prob(d + 1, prior)
+    lpr = math.log(p_d) - math.log1p(-p_d) - math.log(n_legal) - math.log(width)
+    if _child_splittable(n_legal, lo, ci):
+        lpr += math.log1p(-p_d1)
+    if _child_splittable(n_legal, ci + 1, hi):
+        lpr += math.log1p(-p_d1)
+    return lpr
 
 
 def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
     leaves = tree.leaf_ids
     leaf = leaves[rng.integers(len(leaves))]
-    intervals = tree.intervals_at(leaf)
-    legal = tree.legal_columns(intervals)
+    legal = tree.legal_columns(tree.intervals_at(leaf))
     if not legal:
         return None
     k, lo, hi = legal[rng.integers(len(legal))]
     ci = int(rng.integers(lo, hi))
     rows = np.nonzero(tree.leaf_of_row == leaf)[0]
     go_left = tree.ws.cols[k][rows] <= tree.ws.grids[k][ci]
-    n_left = int(go_left.sum())
+    n_left = int(np.count_nonzero(go_left))
     if n_left == 0 or n_left == rows.shape[0]:
-        return Proposal(MOVE_GROW, None)  # would strand an empty leaf
-    new = tree.copy()
-    new.grow_leaf(leaf, k, ci, rows, go_left)
+        return Proposal(MOVE_GROW)  # would strand an empty leaf
 
-    d = tree.depth[leaf]
-    p_d = split_prob(d, prior)
-    p_d1 = split_prob(d + 1, prior)
     width = hi - lo
-    lpr = math.log(p_d) - math.log1p(-p_d) - math.log(len(legal)) - math.log(width)
-    if _child_splittable(legal, k, lo, ci):
-        lpr += math.log1p(-p_d1)
-    if _child_splittable(legal, k, ci + 1, hi):
-        lpr += math.log1p(-p_d1)
-
-    n_prunable_new = len(new.prunable_nodes())
+    lpr = _split_log_prior(tree, leaf, len(legal), width, lo, ci, hi, prior)
+    # after the grow the leaf is prunable, and its parent no longer is if
+    # the leaf's sibling is a leaf
+    p = tree.parent[leaf]
+    n_prunable_new = len(tree.prunable_nodes()) + 1
+    if p >= 0 and tree.var[tree.left[p]] < 0 and tree.var[tree.right[p]] < 0:
+        n_prunable_new -= 1
     lqr = (math.log(MOVE_PROBS[MOVE_PRUNE]) - math.log(n_prunable_new)
            - math.log(MOVE_PROBS[MOVE_GROW])
            + math.log(len(leaves)) + math.log(len(legal)) + math.log(width))
-    return Proposal(MOVE_GROW, new, lpr, lqr, rows, True)
+    return Proposal(MOVE_GROW, True, lpr, lqr, node=leaf, rules=((leaf, k, ci),),
+                    rows=rows, route=go_left)
 
 
 def _propose_prune(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
@@ -400,44 +450,43 @@ def _propose_prune(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> 
     if not prunable:
         return None
     v = prunable[rng.integers(len(prunable))]
-    lid, rid = tree.left[v], tree.right[v]
-    mask = (tree.leaf_of_row == lid) | (tree.leaf_of_row == rid)
-    rows = np.nonzero(mask)[0]
-    new = tree.copy()
-    new.prune_node(v, mask)
-
     intervals = tree.intervals_at(v)
-    legal = tree.legal_columns(intervals)
+    n_legal = tree.n_legal_columns(intervals)
     k, ci = tree.var[v], tree.cut_idx[v]
-    lo, hi = intervals.get(k, (0, tree.ws.grids[k].size))
+    lo, hi = intervals.get(k, (0, tree.ws.grid_sizes[k]))
     width = hi - lo
-    d = tree.depth[v]
-    p_d = split_prob(d, prior)
-    p_d1 = split_prob(d + 1, prior)
-    lpr = -(math.log(p_d) - math.log1p(-p_d) - math.log(len(legal)) - math.log(width))
-    if _child_splittable(legal, k, lo, ci):
-        lpr -= math.log1p(-p_d1)
-    if _child_splittable(legal, k, ci + 1, hi):
-        lpr -= math.log1p(-p_d1)
-
-    lqr = (math.log(MOVE_PROBS[MOVE_GROW]) - math.log(new.n_leaves)
-           - math.log(len(legal)) - math.log(width)
+    lpr = -_split_log_prior(tree, v, n_legal, width, lo, ci, hi, prior)
+    lqr = (math.log(MOVE_PROBS[MOVE_GROW]) - math.log(tree.n_leaves - 1)
+           - math.log(n_legal) - math.log(width)
            - math.log(MOVE_PROBS[MOVE_PRUNE]) + math.log(len(prunable)))
-    return Proposal(MOVE_PRUNE, new, lpr, lqr, rows, True)
+    return Proposal(MOVE_PRUNE, True, lpr, lqr, node=v)
 
 
-def _subtree_ok_and_rows(tree_new: Tree, tree_old: Tree, v: int) -> tuple[bool, np.ndarray]:
-    """Re-route rows through the modified subtree; check no leaf goes empty."""
-    leaf_set = tree_old.leaves_under(v)
-    mask = np.isin(tree_old.leaf_of_row, leaf_set)
-    rows = np.nonzero(mask)[0]
-    tree_new.route_rows(v, rows, tree_new.leaf_of_row)
-    counts = np.bincount(tree_new.leaf_of_row[rows],
-                         minlength=len(tree_new.var))
-    for leaf in tree_new.leaves_under(v):
-        if counts[leaf] == 0:
-            return False, rows
-    return True, rows
+def _propose_rules(tree: Tree, kind: str, v: int, rules: tuple,
+                   intervals: dict[int, tuple[int, int]]) -> Proposal:
+    """Score setting ``rules`` in the subtree at ``v`` (change and swap).
+
+    The rules are set only while the subtree's legality is checked and its
+    rows are re-routed, then put back. The move is viable when every rule
+    stays legal and every leaf under ``v`` keeps a row; its log prior ratio
+    is the change in the subtree's rule log-prior.
+    """
+    var, cut = tree.var, tree.cut_idx
+    old = tuple((w, var[w], cut[w]) for w, _, _ in rules)
+    for w, k, ci in rules:
+        var[w], cut[w] = k, ci
+    try:
+        ok_new, rules_new = tree.validate_subtree(v, intervals)
+        routed = tree.reroute_subtree(v) if ok_new else None
+    finally:
+        for w, k, ci in old:
+            var[w], cut[w] = k, ci
+    if routed is None:
+        return Proposal(kind)
+    _, rules_old = tree.validate_subtree(v, intervals)
+    rows, leaves, counts = routed
+    return Proposal(kind, True, rules_new - rules_old, 0.0, node=v, rules=rules,
+                    rows=rows, route=leaves, counts=counts)
 
 
 def _propose_change(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
@@ -448,41 +497,25 @@ def _propose_change(tree: Tree, rng: np.random.Generator, prior: ForestPrior) ->
     legal = tree.legal_columns(intervals)
     k_new, lo, hi = legal[rng.integers(len(legal))]
     ci_new = int(rng.integers(lo, hi))
-    k_old, ci_old = tree.var[v], tree.cut_idx[v]
-    width_old = next(hi_ - lo_ for kk, lo_, hi_ in legal if kk == k_old)
-
-    new = tree.copy()
-    new.var[v], new.cut_idx[v] = k_new, ci_new
-    ok, rows = _subtree_ok_and_rows(new, tree, v)
-    if not ok:
-        return Proposal(MOVE_CHANGE, None)
-    ok_new, rules_new = new.validate_subtree(v)
-    if not ok_new:
-        return Proposal(MOVE_CHANGE, None)
-    _, rules_old = tree.validate_subtree(v)
-    lpr = rules_new - rules_old
-    lqr = math.log(hi - lo) - math.log(width_old)
-    return Proposal(MOVE_CHANGE, new, lpr, lqr, rows, True)
+    k_old = tree.var[v]
+    lo_old, hi_old = intervals.get(k_old, (0, tree.ws.grid_sizes[k_old]))
+    prop = _propose_rules(tree, MOVE_CHANGE, v, ((v, k_new, ci_new),), intervals)
+    if prop.viable:
+        prop.log_q_ratio = math.log(hi - lo) - math.log(hi_old - lo_old)
+    return prop
 
 
 def _propose_swap(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
+    var, cut = tree.var, tree.cut_idx
     pairs = [(v, c) for v in tree.internal_ids
-             for c in (tree.left[v], tree.right[v]) if tree.var[c] >= 0]
+             for c in (tree.left[v], tree.right[v]) if var[c] >= 0]
     if not pairs:
         return None
     v, c = pairs[rng.integers(len(pairs))]
-    new = tree.copy()
-    new.var[v], new.var[c] = new.var[c], new.var[v]
-    new.cut_idx[v], new.cut_idx[c] = new.cut_idx[c], new.cut_idx[v]
-    ok_new, rules_new = new.validate_subtree(v)
-    if not ok_new:
-        return Proposal(MOVE_SWAP, None)
-    ok, rows = _subtree_ok_and_rows(new, tree, v)
-    if not ok:
-        return Proposal(MOVE_SWAP, None)
-    _, rules_old = tree.validate_subtree(v)
     # pair count is structure-determined, hence unchanged: symmetric proposal
-    return Proposal(MOVE_SWAP, new, rules_new - rules_old, 0.0, rows, True)
+    return _propose_rules(tree, MOVE_SWAP, v,
+                          ((v, var[c], cut[c]), (c, var[v], cut[v])),
+                          tree.intervals_at(v))
 
 
 _PROPOSERS = {MOVE_GROW: _propose_grow, MOVE_PRUNE: _propose_prune,
@@ -491,7 +524,7 @@ _PROPOSERS = {MOVE_GROW: _propose_grow, MOVE_PRUNE: _propose_prune,
 
 def propose_tree_move(tree: Tree, rng: np.random.Generator,
                       prior: ForestPrior) -> Proposal | None:
-    """Draw a move type and build the candidate tree.
+    """Draw a move type and score a candidate move; the tree is not changed.
 
     Returns None when the drawn move type has no legal instance (a no-op
     draw); returns a non-viable Proposal when the candidate would strand an
@@ -509,15 +542,83 @@ def propose_tree_move(tree: Tree, rng: np.random.Generator,
     return _PROPOSERS[kind](tree, rng, prior)
 
 
+def apply_move(tree: Tree, prop: Proposal) -> None:
+    """Carry out a viable proposal on the tree it was built from."""
+    v = prop.node
+    if prop.kind == MOVE_GROW:
+        _, k, ci = prop.rules[0]
+        tree.grow_leaf(v, k, ci, prop.rows, prop.route)
+    elif prop.kind == MOVE_PRUNE:
+        lor = tree.leaf_of_row
+        tree.prune_node(v, (lor == tree.left[v]) | (lor == tree.right[v]))
+    else:
+        for w, k, ci in prop.rules:
+            tree.var[w], tree.cut_idx[w] = k, ci
+        tree.leaf_of_row[prop.rows] = prop.route
+        for leaf, c in prop.counts.items():
+            tree.count[leaf] = c
+
+
+def leaf_sums(tree: Tree, partial_residuals: np.ndarray) -> list[float]:
+    """Sum of the partial residuals per node id (0 at internal nodes), with
+    room for the two nodes a grow may add. Each leaf's rows are summed in
+    row order, so a sum taken the same way over an ascending list of one
+    leaf's rows has the same bits."""
+    return np.bincount(tree.leaf_of_row, weights=partial_residuals,
+                       minlength=len(tree.var) + 2).tolist()
+
+
+def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
+                   sigma: float, prior: ForestPrior, sums: list[float]):
+    """Log marginal-likelihood ratio of a viable proposal from per-leaf
+    (sum, count) statistics; ``sums`` are the current tree's ``leaf_sums``.
+
+    Also returns the residual sums of the leaves the move creates (grow:
+    left and right child; change and swap: a ``bincount`` by node id), in
+    row order, so an accepted move can update ``sums`` exactly.
+    """
+    s2 = sigma * sigma
+    sm2 = prior.sigma_mu2
+    v = prop.node
+    count = tree.count
+    if prop.kind == MOVE_GROW:
+        go_left = prop.route
+        s_right, s_left = np.bincount(go_left, weights=partial_residuals[prop.rows],
+                                      minlength=2).tolist()
+        n_left = int(np.count_nonzero(go_left))
+        n_right = go_left.shape[0] - n_left
+        llr = (_collapsed_term(s_left, n_left, s2, sm2)
+               + _collapsed_term(s_right, n_right, s2, sm2)
+               - _collapsed_term(sums[v], count[v], s2, sm2))
+        return llr, (s_left, s_right)
+    if prop.kind == MOVE_PRUNE:
+        lid, rid = tree.left[v], tree.right[v]
+        s_l, s_r = sums[lid], sums[rid]
+        llr = (_collapsed_term(s_l + s_r, count[lid] + count[rid], s2, sm2)
+               - _collapsed_term(s_l, count[lid], s2, sm2)
+               - _collapsed_term(s_r, count[rid], s2, sm2))
+        return llr, None
+    new_sums = np.bincount(prop.route, weights=partial_residuals[prop.rows],
+                           minlength=len(tree.var)).tolist()
+    llr = 0.0
+    for leaf, c in prop.counts.items():
+        llr += (_collapsed_term(new_sums[leaf], c, s2, sm2)
+                - _collapsed_term(sums[leaf], count[leaf], s2, sm2))
+    return llr, new_sums
+
+
 def mh_update_tree(tree: Tree, partial_residuals: np.ndarray, sigma: float,
                    prior: ForestPrior, rng: np.random.Generator,
                    stats: dict | None = None,
-                   likelihood_on: bool = True) -> Tree:
-    """One Metropolis-Hastings structure update.
+                   likelihood_on: bool = True,
+                   sums: list[float] | None = None) -> Tree:
+    """One Metropolis-Hastings structure update, in place; returns ``tree``.
 
     Acceptance probability is min(1, prior ratio x marginal-likelihood ratio
     x proposal ratio); with ``likelihood_on`` false the chain targets the
-    tree prior alone (used by the prior-sampling oracle tests).
+    tree prior alone (used by the prior-sampling oracle tests). ``sums``, if
+    given, must be the tree's ``leaf_sums`` of ``partial_residuals``; an
+    accepted move updates it in place, bit for bit.
     """
     prop = propose_tree_move(tree, rng, prior)
     if prop is None:
@@ -529,42 +630,44 @@ def mh_update_tree(tree: Tree, partial_residuals: np.ndarray, sigma: float,
         return tree
     log_alpha = prop.log_prior_ratio + prop.log_q_ratio
     if likelihood_on:
-        s2 = sigma * sigma
-        sm2 = prior.sigma_mu2
-        r = partial_residuals[prop.rows]
-        old_assign = tree.leaf_of_row[prop.rows]
-        new_assign = prop.tree.leaf_of_row[prop.rows]
-        log_alpha += (_partition_collapsed(new_assign, r, s2, sm2)
-                      - _partition_collapsed(old_assign, r, s2, sm2))
+        if sums is None:
+            sums = leaf_sums(tree, partial_residuals)
+        llr, new_sums = _log_lik_ratio(tree, prop, partial_residuals, sigma, prior, sums)
+        log_alpha += llr
     if math.log(rng.random()) < log_alpha:
         if stats is not None:
             stats[prop.kind][1] += 1
-        return prop.tree
+        apply_move(tree, prop)
+        if likelihood_on:
+            v = prop.node
+            if prop.kind == MOVE_GROW:
+                sums[tree.left[v]], sums[tree.right[v]] = new_sums
+            elif prop.kind == MOVE_PRUNE:
+                sums[v] = float(np.bincount(tree.leaf_of_row == v,
+                                            weights=partial_residuals, minlength=2)[1])
+            else:
+                for leaf in prop.counts:
+                    sums[leaf] = new_sums[leaf]
     return tree
 
 
-def _partition_collapsed(assign: np.ndarray, r: np.ndarray, s2: float, sm2: float) -> float:
-    counts = np.bincount(assign)
-    sums = np.bincount(assign, weights=r)
-    nz = counts > 0
-    return _collapsed_terms(sums[nz], counts[nz], s2, sm2)
-
-
 def draw_leaf_values(tree: Tree, partial_residuals: np.ndarray, sigma: float,
-                     prior: ForestPrior, rng: np.random.Generator) -> Tree:
-    """Redraw every leaf value from its conjugate normal posterior."""
-    cap = len(tree.var)
-    counts = np.bincount(tree.leaf_of_row, minlength=cap)
-    sums = np.bincount(tree.leaf_of_row, weights=partial_residuals, minlength=cap)
-    lids = np.fromiter(tree.leaf_ids, dtype=np.int64, count=len(tree.leaf_ids))
-    n_l = counts[lids]
-    s_l = sums[lids]
+                     prior: ForestPrior, rng: np.random.Generator,
+                     sums: list[float] | None = None) -> Tree:
+    """Redraw every leaf value from its conjugate normal posterior.
+
+    ``sums``, if given, must be the tree's ``leaf_sums`` of
+    ``partial_residuals``.
+    """
+    if sums is None:
+        sums = leaf_sums(tree, partial_residuals)
     s2 = sigma * sigma
     sm2 = prior.sigma_mu2
-    denom = n_l * sm2 + s2
-    mean = sm2 * s_l / denom
-    sd = np.sqrt(sm2 * s2 / denom)
-    tree.values[lids] = mean + sd * rng.standard_normal(lids.shape[0])
+    z = rng.standard_normal(len(tree.leaf_ids)).tolist()
+    values, count = tree.values, tree.count
+    for leaf, zi in zip(tree.leaf_ids, z):
+        denom = count[leaf] * sm2 + s2
+        values[leaf] = sm2 * sums[leaf] / denom + math.sqrt(sm2 * s2 / denom) * zi
     return tree
 
 
@@ -624,11 +727,11 @@ def backfit_sweep(forest: Forest, shifted_responses: np.ndarray, sigma: float,
     prior = forest.prior
     for j, tree in enumerate(forest.trees):
         partial = resid + forest.fits[j]
-        tree = mh_update_tree(tree, partial, sigma, prior, rng, forest.move_stats)
-        draw_leaf_values(tree, partial, sigma, prior, rng)
+        sums = leaf_sums(tree, partial)
+        mh_update_tree(tree, partial, sigma, prior, rng, forest.move_stats, sums=sums)
+        draw_leaf_values(tree, partial, sigma, prior, rng, sums=sums)
         new_fit = tree.fit_vector()
         resid += forest.fits[j] - new_fit
-        forest.trees[j] = tree
         forest.fits[j] = new_fit
     forest.m_total = np.add.reduce(forest.fits)
     return forest

@@ -17,6 +17,17 @@ def small_config(**overrides):
     return FitConfig(**base)
 
 
+# SHA-256 of draws.npz from small_config() on the small_data fixture, taken
+# with the copy-per-proposal tree sweep that the statistics-based sweep
+# replaced: the rewrite must keep every random draw and every bit. The values
+# depend on numpy's random streams and float kernels (recorded with numpy
+# 2.4), so a numpy upgrade may change them without any fault in the sampler.
+PINNED_DIGESTS = {
+    1: "47ce1a5000ed34bb3dd92f27e5365caf9a1c0a8d3559585a256ec9fbdb23259f",
+    2: "d622eebda1aae2a9837a338d09d32f2bcdc8995b6e480d466ff9fa4fa888b61d",
+}
+
+
 def digest(draws: PosteriorDraws) -> str:
     buf = io.BytesIO()
     draws.save(buf)
@@ -60,6 +71,19 @@ class TestFit:
         a = fit(small_data, small_config())
         b = fit(small_data, small_config())
         assert digest(a) == digest(b)
+
+    @pytest.mark.parametrize("chains", sorted(PINNED_DIGESTS))
+    def test_draws_match_pinned_digest(self, small_data, chains):
+        draws = fit(small_data, small_config(chains=chains))
+        assert digest(draws) == PINNED_DIGESTS[chains]
+
+    def test_single_arm_data_rejected(self):
+        data = make_dataset(n=40)
+        for arm in (0, 1):
+            one_arm = EncodedDataset.from_arrays(data.y, data.delta,
+                                                 np.full(data.n, arm), data.X)
+            with pytest.raises(DataError, match=f"every row is in arm {arm}"):
+                fit(one_arm, small_config())
 
     def test_different_seed_differs(self, small_data):
         a = fit(small_data, small_config())

@@ -10,8 +10,9 @@ from npaft import (ConfigError, Forest, ForestPrior, Tree, TreeWorkspace,
                    split_prob, tree_predict)
 from npaft.data import split_point_grid
 from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP,
-                          _propose_change, _propose_grow, _propose_prune,
-                          _propose_swap, pack_forest)
+                          _log_lik_ratio, _propose_change, _propose_grow,
+                          _propose_prune, _propose_swap, apply_move, leaf_sums,
+                          pack_forest)
 
 
 def make_ws(U, max_points=100):
@@ -161,15 +162,16 @@ class TestProposals:
         U = rng.standard_normal((20, 2))
         ws = make_ws(U)
         t = Tree(ws)
+        var0, leaf_ids0, leaf_of_row0 = t.var[0], list(t.leaf_ids), t.leaf_of_row.copy()
         grow = _propose_grow(t, rng, prior)
         assert grow.viable
-        grown = grow.tree
-        prune = _propose_prune(grown, rng, prior)
+        apply_move(t, grow)
+        prune = _propose_prune(t, rng, prior)
         assert prune.viable
-        restored = prune.tree
-        assert restored.var[0] == t.var[0] == -1
-        assert restored.leaf_ids == t.leaf_ids
-        assert np.array_equal(restored.leaf_of_row, t.leaf_of_row)
+        apply_move(t, prune)
+        assert t.var[0] == var0 == -1
+        assert t.leaf_ids == leaf_ids0
+        assert np.array_equal(t.leaf_of_row, leaf_of_row0)
         # inverse pair: proposal and prior ratios cancel exactly
         assert grow.log_prior_ratio + prune.log_prior_ratio == pytest.approx(0.0, abs=1e-12)
         assert grow.log_q_ratio + prune.log_q_ratio == pytest.approx(0.0, abs=1e-12)
@@ -187,11 +189,13 @@ class TestProposals:
         t = Tree(ws)
         split(t, 0, 0, 0)
         prior = ForestPrior(zeta=1.0)
+        var0, cut_idx0 = list(t.var), list(t.cut_idx)
         prop = _propose_change(t, rng, prior)
         assert prop.viable
         assert prop.log_prior_ratio == 0.0
         assert prop.log_q_ratio == 0.0
-        assert prop.tree.var == t.var and prop.tree.cut_idx == t.cut_idx
+        apply_move(t, prop)
+        assert t.var == var0 and t.cut_idx == cut_idx0
 
     def test_empty_leaf_proposal_rejected_outright(self, rng, prior):
         # both x values below every candidate cut except one that isolates a row
@@ -209,10 +213,124 @@ class TestProposals:
         assert prop is not None
         if not found_reject:
             # grow then try to grow the all-constant left child
-            grown = prop.tree
+            apply_move(t, prop)
+            grown = t
             leaf = grown.left[0]
             rows = np.nonzero(grown.leaf_of_row == leaf)[0]
             assert np.unique(U[rows, 0]).size == 1
+
+
+def tree_state(t):
+    """Everything a move may touch, copied."""
+    return (list(t.var), list(t.cut_idx), list(t.left), list(t.right), list(t.parent),
+            list(t.depth), list(t.leaf_ids), list(t.internal_ids), list(t.free),
+            list(t.count), t.values.copy(), t.leaf_of_row.copy())
+
+
+def assert_same_state(a, b):
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y)
+        else:
+            assert x == y
+
+
+def mixed_workspace(rng, n=60):
+    # tied and coarse columns make empty-leaf and illegal-rule proposals common
+    U = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 4, n),
+                         np.round(rng.standard_normal(n), 1), rng.standard_normal(n)])
+    return make_ws(U.astype(float), max_points=6)
+
+
+def partition_log_marginal(t, r, sigma, prior):
+    """Oracle: sum of leaf_log_marginal over the tree's leaves."""
+    total = 0.0
+    for leaf in t.leaf_ids:
+        rr = r[t.leaf_of_row == leaf]
+        total += leaf_log_marginal(rr.sum(), float(rr @ rr), rr.shape[0], sigma, prior)
+    return total
+
+
+class TestMovePath:
+    """Proposals are scored without touching the tree; moves apply in place."""
+
+    PROPOSERS = {MOVE_GROW: _propose_grow, MOVE_PRUNE: _propose_prune,
+                 MOVE_CHANGE: _propose_change, MOVE_SWAP: _propose_swap}
+
+    @staticmethod
+    def grown_forest(rng, ws, n_trees=6, sweeps=30):
+        prior = ForestPrior(n_trees=n_trees, alpha=0.95, beta=0.5, zeta=2.0, grids=ws.grids)
+        forest = Forest(ws, prior)
+        y = ws.U[:, 1] - ws.U[:, 3] + rng.normal(0, 0.3, ws.n)
+        for _ in range(sweeps):
+            backfit_sweep(forest, y, 0.4, rng)
+        return forest
+
+    def test_unapplied_proposals_leave_tree_unchanged(self, rng):
+        ws = mixed_workspace(rng)
+        forest = self.grown_forest(rng, ws)
+        seen = {kind: [0, 0] for kind in self.PROPOSERS}  # viable, non-viable
+        for t in forest.trees:
+            before = tree_state(t)
+            for kind, propose in self.PROPOSERS.items():
+                for _ in range(40):
+                    prop = propose(t, rng, forest.prior)
+                    assert_same_state(before, tree_state(t))
+                    if prop is not None:
+                        seen[kind][0 if prop.viable else 1] += 1
+        for kind in self.PROPOSERS:
+            assert seen[kind][0] > 0, kind
+        for kind in (MOVE_GROW, MOVE_CHANGE, MOVE_SWAP):
+            assert seen[kind][1] > 0, kind
+
+    def test_rejected_moves_leave_tree_unchanged(self, rng):
+        ws = mixed_workspace(rng)
+        forest = self.grown_forest(rng, ws)
+        prior = forest.prior
+        r = rng.standard_normal(ws.n)
+        rejected = dict.fromkeys(self.PROPOSERS, 0)
+        accepted = dict.fromkeys(self.PROPOSERS, 0)
+        for _ in range(60):
+            for t in forest.trees:
+                before = tree_state(t)
+                stats = {}
+                sums = leaf_sums(t, r)
+                mh_update_tree(t, r, 0.5, prior, rng, stats, sums=sums)
+                for kind, (proposed, acc) in stats.items():
+                    if acc:
+                        accepted[kind] += 1
+                    else:
+                        rejected[kind] += 1
+                        assert_same_state(before, tree_state(t))
+                # an accepted move keeps the counts and the leaf sums exact
+                counts = np.bincount(t.leaf_of_row, minlength=len(t.var))
+                fresh = leaf_sums(t, r)
+                for leaf in t.leaf_ids:
+                    assert t.count[leaf] == counts[leaf]
+                    assert sums[leaf] == fresh[leaf]
+        for kind in self.PROPOSERS:
+            assert rejected[kind] > 0 and accepted[kind] > 0, kind
+
+    def test_log_lik_ratio_matches_leaf_marginal_oracle(self, rng):
+        ws = mixed_workspace(rng)
+        forest = self.grown_forest(rng, ws)
+        prior = forest.prior
+        checked = dict.fromkeys(self.PROPOSERS, 0)
+        for t in forest.trees:
+            for _ in range(30):
+                r = rng.normal(0.0, rng.uniform(0.2, 3.0), ws.n)
+                sigma = float(rng.uniform(0.3, 2.0))
+                kind = list(self.PROPOSERS)[rng.integers(4)]
+                prop = self.PROPOSERS[kind](t, rng, prior)
+                if prop is None or not prop.viable:
+                    continue
+                llr, _ = _log_lik_ratio(t, prop, r, sigma, prior, leaf_sums(t, r))
+                old = partition_log_marginal(t, r, sigma, prior)
+                apply_move(t, prop)
+                new = partition_log_marginal(t, r, sigma, prior)
+                assert llr == pytest.approx(new - old, abs=1e-10)
+                checked[kind] += 1
+        assert all(c > 0 for c in checked.values()), checked
 
 
 class TestPriorSampling:
