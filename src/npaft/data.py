@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
 
+from . import stdnorm as norm
 from .errors import ConfigError, DataError, NumericError
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
@@ -304,6 +304,38 @@ def _censored_lognormal_loglik(beta: np.ndarray, eta: float, ly: np.ndarray,
     return ll
 
 
+def _score_and_hessian(beta: np.ndarray, eta: float, ly: np.ndarray,
+                       unc: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the censored lognormal log-likelihood over
+    ``(beta, log sigma)``; ``unc`` marks the uncensored rows."""
+    p = X.shape[1]
+    sigma = math.exp(eta)
+    s = (ly - X @ beta) / sigma
+    cen = ~unc
+    # hazard of the standard normal at censored points
+    lam = np.exp(norm.logpdf(s[cen]) - norm.logsf(s[cen]))
+    dlam = lam * (lam - s[cen])
+
+    g = np.empty(p + 1)
+    gw = np.zeros_like(s)
+    gw[unc] = s[unc] / sigma
+    gw[cen] = lam / sigma
+    g[:p] = X.T @ gw
+    g[p] = float(np.sum(s[unc] ** 2 - 1.0) + np.sum(s[cen] * lam))
+
+    H = np.empty((p + 1, p + 1))
+    w = np.zeros_like(s)
+    w[unc] = 1.0
+    w[cen] = dlam
+    H[:p, :p] = -(X.T * (w / sigma ** 2)) @ X
+    hmix = np.zeros_like(s)
+    hmix[unc] = -2.0 * s[unc] / sigma
+    hmix[cen] = -(s[cen] * dlam + lam) / sigma
+    H[:p, p] = H[p, :p] = X.T @ hmix
+    H[p, p] = float(np.sum(-2.0 * s[unc] ** 2) + np.sum(-s[cen] * (lam + s[cen] * dlam)))
+    return g, H
+
+
 def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
                              max_iter: int = 200, tol: float = 1e-10):
     """Censored lognormal MLE of ``ly ~ Normal(X beta, sigma^2)``.
@@ -339,34 +371,10 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     ll = _censored_lognormal_loglik(beta, eta, ly, delta, X)
     gnorm = math.inf
     for _ in range(max_iter):
-        sigma = math.exp(eta)
-        s = (ly - X @ beta) / sigma
-        cen = ~unc
-        # hazard of the standard normal at censored points
-        lam = np.exp(norm.logpdf(s[cen]) - norm.logsf(s[cen]))
-        dlam = lam * (lam - s[cen])
-
-        g = np.empty(n_par := p + 1)
-        gw = np.zeros_like(s)
-        gw[unc] = s[unc] / sigma
-        gw[cen] = lam / sigma
-        g[:p] = X.T @ gw
-        g[p] = float(np.sum(s[unc] ** 2 - 1.0) + np.sum(s[cen] * lam))
+        g, H = _score_and_hessian(beta, eta, ly, unc, X)
         gnorm = float(np.linalg.norm(g))
         if gnorm < tol:
             break
-
-        H = np.empty((n_par, n_par))
-        w = np.zeros_like(s)
-        w[unc] = 1.0
-        w[cen] = dlam
-        H[:p, :p] = -(X.T * (w / sigma ** 2)) @ X
-        hmix = np.zeros_like(s)
-        hmix[unc] = -2.0 * s[unc] / sigma
-        hmix[cen] = -(s[cen] * dlam + lam) / sigma
-        H[:p, p] = H[p, :p] = X.T @ hmix
-        H[p, p] = float(np.sum(-2.0 * s[unc] ** 2) + np.sum(-s[cen] * (lam + s[cen] * dlam)))
-
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -389,33 +397,19 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
             warnings.warn(
                 "residual scale hit the 1e-6 floor (degenerate zero-variance responses); "
                 "sigma clamped", RuntimeWarning)
-            cov = np.full((n_par, n_par), np.nan)
+            cov = np.full((p + 1, p + 1), np.nan)
             return beta, SIGMA_FLOOR, cov
     else:
         raise NumericError(
             f"intercept AFT fit did not converge in {max_iter} iterations; "
             f"final gradient norm {gnorm:.3e}")
 
-    sigma = math.exp(eta)
-    s = (ly - X @ beta) / sigma
-    cen = ~unc
-    lam = np.exp(norm.logpdf(s[cen]) - norm.logsf(s[cen]))
-    dlam = lam * (lam - s[cen])
-    H = np.empty((p + 1, p + 1))
-    w = np.zeros_like(s)
-    w[unc] = 1.0
-    w[cen] = dlam
-    H[:p, :p] = -(X.T * (w / sigma ** 2)) @ X
-    hmix = np.zeros_like(s)
-    hmix[unc] = -2.0 * s[unc] / sigma
-    hmix[cen] = -(s[cen] * dlam + lam) / sigma
-    H[:p, p] = H[p, :p] = X.T @ hmix
-    H[p, p] = float(np.sum(-2.0 * s[unc] ** 2) + np.sum(-s[cen] * (lam + s[cen] * dlam)))
+    # H is the Hessian at the converged (beta, eta)
     try:
         cov = np.linalg.inv(-H)
     except np.linalg.LinAlgError:
         cov = np.full((p + 1, p + 1), np.nan)
-    return beta, sigma, cov
+    return beta, math.exp(eta), cov
 
 
 def fit_intercept_lognormal_aft(data: EncodedDataset) -> ResponseTransform:

@@ -12,16 +12,23 @@ Randomness derives from one root seed: ``SeedSequence(seed)`` spawns one
 calibration stream plus one sequence per chain, and each chain spawns six
 component streams (tree moves/leaf draws, labels, sticks, locations,
 mass/scale, imputation). Adding diagnostics therefore never perturbs draws,
-and a (seed, data, config) triple reproduces results bit for bit.
+and a (seed, data, config) triple reproduces results bit for bit, whether
+the chains run one after another in this process or side by side in forked
+workers (see ``fit``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
+import multiprocessing
+import os
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass, field, asdict
+from multiprocessing.pool import ExceptionWithTraceback
 from pathlib import Path
 
 import numpy as np
@@ -186,8 +193,18 @@ def _build_grids(U: np.ndarray, max_points: int) -> list[np.ndarray]:
     return [split_point_grid(U[:, k], max_points) for k in range(U.shape[1])]
 
 
+def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, so rows that a forked chain
+    worker writes are the parent's rows too."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
 class _DrawStore:
-    """Columnar draw buffers, spilled to disk when over the memory budget."""
+    """Columnar draw buffers in memory shared with forked chain workers; the
+    large ones are spilled to disk-backed memmaps when over the memory budget."""
 
     def __init__(self, total: int, n: int, H: int, budget_mb: float,
                  spill_dir: str | None):
@@ -201,19 +218,19 @@ class _DrawStore:
                                                  dtype=np.float64, shape=shape)
         else:
             def make(name, shape):
-                return np.empty(shape)
+                return _shared(shape)
         self.m0 = make("m0", (total, n))
         self.m1 = make("m1", (total, n))
         self.pi = make("pi", (total, H))
         self.tau = make("tau", (total, H))
-        self.sigma = np.empty(total)
-        self.M = np.empty(total)
-        self.chain_id = np.empty(total, dtype=np.int16)
-        self.iteration = np.empty(total, dtype=np.int32)
-        self.occupied = np.empty(total, dtype=np.int32)
-        self.max_index = np.empty(total, dtype=np.int32)
-        self.acc_proposed = np.zeros((total, 4), dtype=np.int32)
-        self.acc_accepted = np.zeros((total, 4), dtype=np.int32)
+        self.sigma = _shared((total,))
+        self.M = _shared((total,))
+        self.chain_id = _shared((total,), np.int16)
+        self.iteration = _shared((total,), np.int32)
+        self.occupied = _shared((total,), np.int32)
+        self.max_index = _shared((total,), np.int32)
+        self.acc_proposed = _shared((total, 4), np.int32)
+        self.acc_accepted = _shared((total, 4), np.int32)
 
 
 def _check_finite(iteration: int, **named) -> None:
@@ -222,12 +239,169 @@ def _check_finite(iteration: int, **named) -> None:
             raise NumericError(f"non-finite {name} at iteration {iteration}")
 
 
+@dataclass
+class _ChainJob:
+    """What every chain reads: fixed before the first chain starts."""
+
+    config: FitConfig
+    hyper: CdpHyper
+    prior: ForestPrior
+    transform: ResponseTransform
+    U: np.ndarray                 # (n, 1 + p) arm column, then covariates
+    grids: list[np.ndarray]
+    delta: np.ndarray
+    log_y_tr: np.ndarray          # transformed log responses; censored rows at their bound
+    seqs: list[np.random.SeedSequence]  # one per chain
+    store: _DrawStore
+
+
+def _run_chain(job: _ChainJob, chain: int,
+               trace_hook=None) -> tuple[list[PackedForest] | None, int]:
+    """Run one chain and write its retained draws into its own rows of
+    ``job.store``. Returns the chain's packed forests (None unless
+    ``keep_forests``) and the number of sweeps that hit the truncation level."""
+    config, hyper, transform, store = job.config, job.hyper, job.transform, job.store
+    comp = job.seqs[chain].spawn(6)
+    rng_trees, rng_labels, rng_sticks, rng_locs, rng_mass, rng_imp = map(
+        np.random.default_rng, comp)
+
+    ws = TreeWorkspace(job.U, job.grids)
+    forest = Forest(ws, job.prior)
+    state = init_state(job.U.shape[0], hyper, transform.sigma_aft)
+    flipped_arm = 1.0 - job.U[:, 0]
+    arm_is_treated = job.U[:, 0] == 1.0
+    logy_c = job.log_y_tr.copy()  # censored rows start at their bound
+    d_idx = chain * config.draws_per_chain
+    forests: list[PackedForest] | None = [] if config.keep_forests else None
+    hit_truncation = 0
+
+    for t in range(1, config.iterations + 1):
+        stats_before = {k: list(v) for k, v in forest.move_stats.items()}
+        shifted = logy_c - state.tau[state.S]
+        backfit_sweep(forest, shifted, state.sigma, rng_trees)
+        if trace_hook:
+            trace_hook(chain, t, "trees", forest)
+
+        resid = logy_c - forest.m_total
+        update_cluster_labels(state, resid, rng_labels)
+        if trace_hook:
+            trace_hook(chain, t, "labels", state)
+        update_stick_weights(state, rng_sticks)
+        if trace_hook:
+            trace_hook(chain, t, "sticks", state)
+        update_cluster_locations(state, resid, hyper, rng_locs)
+        if trace_hook:
+            trace_hook(chain, t, "locations", state)
+        update_mass_and_scale(state, resid, hyper, rng_mass)
+        if trace_hook:
+            trace_hook(chain, t, "mass_scale", state)
+        logy_c = impute_censored(state, forest.m_total, job.delta,
+                                 job.log_y_tr, rng_imp)
+        if trace_hook:
+            trace_hook(chain, t, "impute", logy_c)
+
+        _check_finite(t, m=forest.m_total, sigma_sq=state.sigma_sq,
+                      M=state.M, tau=state.tau, responses=logy_c)
+        if state.max_occupied_index == hyper.H:
+            hit_truncation += 1
+
+        if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
+            state.check_invariants()
+            m_obs = forest.m_total
+            m_flip = forest.counterfactual_total(flipped_arm)
+            store.m1[d_idx] = np.where(arm_is_treated, m_obs, m_flip) + transform.mu_aft
+            store.m0[d_idx] = np.where(arm_is_treated, m_flip, m_obs) + transform.mu_aft
+            store.pi[d_idx] = state.pi
+            store.tau[d_idx] = state.tau
+            store.sigma[d_idx] = state.sigma
+            store.M[d_idx] = state.M
+            store.chain_id[d_idx] = chain
+            store.iteration[d_idx] = t
+            store.occupied[d_idx] = state.occupied
+            store.max_index[d_idx] = state.max_occupied_index
+            for mi, mv in enumerate(MOVE_ORDER):
+                after = forest.move_stats.get(mv, [0, 0])
+                before = stats_before.get(mv, [0, 0])
+                store.acc_proposed[d_idx, mi] = after[0] - before[0]
+                store.acc_accepted[d_idx, mi] = after[1] - before[1]
+            if forests is not None:
+                forests.append(pack_forest(forest))
+            d_idx += 1
+    return forests, hit_truncation
+
+
+_WORKER_JOB: _ChainJob | None = None  # set in each forked pool worker only
+
+
+def _set_worker_job(job: _ChainJob) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _pool_chain(chain: int):
+    """Pool task: run ``chain`` in a forked worker. Warnings are recorded
+    under the filters the worker inherited, and an exception is returned
+    with its remote traceback, so the parent can replay both in chain order."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = _run_chain(_WORKER_JOB, chain)
+        except Exception as exc:
+            result = ExceptionWithTraceback(exc, exc.__traceback__)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _pool_size(chains: int, trace_hook) -> int:
+    """Forked workers for a fit: one per chain up to the usable CPUs, or 0
+    to run the chains in this process. A trace hook observes live forest
+    and state objects, so traced fits stay in-process; so do fits where
+    forking is unavailable or unsafe (a daemonic pool worker may not have
+    children, and other threads may hold locks a forked child would keep)."""
+    if (chains < 2 or trace_hook is not None
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    workers = min(chains, cpus)
+    return workers if workers > 1 else 0
+
+
+def _run_chains(job: _ChainJob, trace_hook) -> list[tuple[list[PackedForest] | None, int]]:
+    """Every chain's (forests, truncation hits), in chain order."""
+    chains = job.config.chains
+    workers = _pool_size(chains, trace_hook)
+    if not workers:
+        return [_run_chain(job, chain, trace_hook) for chain in range(chains)]
+    results = []
+    registry: dict = {}  # dedupes re-issued warnings across chains, as one process would
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,)) as pool:
+        for result, caught in pool.imap(_pool_chain, range(chains)):
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=registry)
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+    return results
+
+
 def fit(data: EncodedDataset, config: FitConfig,
         trace_hook=None) -> PosteriorDraws:
     """Run the full sampler and materialize posterior draws.
 
+    With more than one chain, the chains run in forked worker processes, one
+    per usable CPU; each worker holds its own chain's working set (forest,
+    mixture state, random streams) and writes its retained draws straight
+    into memory shared with this process. The result is byte-identical to
+    running the chains one after another, which is what happens for a single
+    chain, on one CPU, or where ``fork`` is unavailable.
+
     ``trace_hook(chain, iteration, step, payload)``, when given, is invoked
     after every step of every iteration, making the step order auditable.
+    The hook sees live objects, so a traced fit runs its chains in this
+    process.
     """
     arms = np.unique(data.a)
     if arms.size < 2:
@@ -247,91 +421,24 @@ def fit(data: EncodedDataset, config: FitConfig,
         hyper = CdpHyper(psi1=hyper.psi1, psi2=hyper.psi2, nu=hyper.nu,
                          q=hyper.q, H=hyper.H, sigma_tau_sq=st2)
 
-    a_col = data_tr.a.astype(float)
-    U = np.column_stack([a_col, data_tr.X])
+    U = np.column_stack([data_tr.a.astype(float), data_tr.X])
     grids = _build_grids(U, config.max_split_points)
     prior = config.prior.resolved(zeta=4.0 * transform.sigma_aft, grids=grids)
-
-    n = data_tr.n
-    store = _DrawStore(config.chains * config.draws_per_chain, n, hyper.H,
+    store = _DrawStore(config.chains * config.draws_per_chain, data_tr.n, hyper.H,
                        config.memory_budget_mb, config.spill_dir)
-    forests: list[PackedForest] | None = [] if config.keep_forests else None
+    job = _ChainJob(config=config, hyper=hyper, prior=prior, transform=transform,
+                    U=U, grids=grids, delta=data_tr.delta, log_y_tr=np.log(data_tr.y),
+                    seqs=seqs[1:], store=store)
+    results = _run_chains(job, trace_hook)
 
-    log_y_tr = np.log(data_tr.y)
-    flipped_arm = 1.0 - a_col
-    arm_is_treated = data_tr.a == 1
-    hit_truncation = 0
-
-    for chain in range(config.chains):
-        comp = seqs[1 + chain].spawn(6)
-        rng_trees, rng_labels, rng_sticks, rng_locs, rng_mass, rng_imp = map(
-            np.random.default_rng, comp)
-
-        ws = TreeWorkspace(U, grids)
-        forest = Forest(ws, prior)
-        state = init_state(n, hyper, transform.sigma_aft)
-        logy_c = log_y_tr.copy()  # censored rows start at their bound
-        d_idx = chain * config.draws_per_chain
-
-        for t in range(1, config.iterations + 1):
-            stats_before = {k: list(v) for k, v in forest.move_stats.items()}
-            shifted = logy_c - state.tau[state.S]
-            backfit_sweep(forest, shifted, state.sigma, rng_trees)
-            if trace_hook:
-                trace_hook(chain, t, "trees", forest)
-
-            resid = logy_c - forest.m_total
-            update_cluster_labels(state, resid, rng_labels)
-            if trace_hook:
-                trace_hook(chain, t, "labels", state)
-            update_stick_weights(state, rng_sticks)
-            if trace_hook:
-                trace_hook(chain, t, "sticks", state)
-            update_cluster_locations(state, resid, hyper, rng_locs)
-            if trace_hook:
-                trace_hook(chain, t, "locations", state)
-            update_mass_and_scale(state, resid, hyper, rng_mass)
-            if trace_hook:
-                trace_hook(chain, t, "mass_scale", state)
-            logy_c = impute_censored(state, forest.m_total, data_tr.delta,
-                                     log_y_tr, rng_imp)
-            if trace_hook:
-                trace_hook(chain, t, "impute", logy_c)
-
-            _check_finite(t, m=forest.m_total, sigma_sq=state.sigma_sq,
-                          M=state.M, tau=state.tau, responses=logy_c)
-            if state.max_occupied_index == hyper.H:
-                hit_truncation += 1
-
-            if t > config.burn_in and (t - config.burn_in) % config.thin == 0:
-                state.check_invariants()
-                m_obs = forest.m_total
-                m_flip = forest.counterfactual_total(flipped_arm)
-                store.m1[d_idx] = np.where(arm_is_treated, m_obs, m_flip) + transform.mu_aft
-                store.m0[d_idx] = np.where(arm_is_treated, m_flip, m_obs) + transform.mu_aft
-                store.pi[d_idx] = state.pi
-                store.tau[d_idx] = state.tau
-                store.sigma[d_idx] = state.sigma
-                store.M[d_idx] = state.M
-                store.chain_id[d_idx] = chain
-                store.iteration[d_idx] = t
-                store.occupied[d_idx] = state.occupied
-                store.max_index[d_idx] = state.max_occupied_index
-                for mi, mv in enumerate(MOVE_ORDER):
-                    after = forest.move_stats.get(mv, [0, 0])
-                    before = stats_before.get(mv, [0, 0])
-                    store.acc_proposed[d_idx, mi] = after[0] - before[0]
-                    store.acc_accepted[d_idx, mi] = after[1] - before[1]
-                if forests is not None:
-                    forests.append(pack_forest(forest))
-                d_idx += 1
-
-    frac_hit = hit_truncation / (config.chains * config.iterations)
+    frac_hit = sum(hits for _, hits in results) / (config.chains * config.iterations)
     if frac_hit > 0.01:
         warnings.warn(
             f"maximum occupied component index reached the truncation level in "
             f"{frac_hit:.1%} of sweeps; consider increasing H", RuntimeWarning)
 
+    forests = [pf for chain_forests, _ in results for pf in chain_forests] \
+        if config.keep_forests else None
     draws = PosteriorDraws(
         m0=store.m0, m1=store.m1, pi=store.pi, tau=store.tau, sigma=store.sigma,
         M=store.M, chain_id=store.chain_id, iteration=store.iteration,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.stats import norm
 
+from . import stdnorm as norm
 from .data import EncodedDataset
 from .engine import PosteriorDraws, predict_m
 from .errors import ConfigError, DataError, NumericError
@@ -105,13 +105,19 @@ class EffectDistribution:
 
 def default_bandwidth(draws: IteDraws) -> float:
     """0.9 * min(sigma, IQR/1.34) * n^(-1/5), from posterior means of the
-    per-draw effect spread across patients."""
+    per-draw effect spread across patients.
+
+    When that scale is 0 (effects with no interquartile spread), it falls
+    back as R's ``bw.nrd0`` does: to sigma, then to the absolute first
+    effect, then to 1.
+    """
     theta = draws.values
     sd = float(theta.std(axis=1, ddof=1).mean())
     q75, q25 = np.percentile(theta, [75, 25], axis=1)
     iqr = float((q75 - q25).mean())
     n = theta.shape[1]
-    return 0.9 * min(sd, iqr / 1.34) * n ** (-0.2)
+    scale = min(sd, iqr / 1.34) or sd or abs(float(theta[0, 0])) or 1.0
+    return 0.9 * scale * n ** (-0.2)
 
 
 def effect_distribution(draws: IteDraws, grid: np.ndarray,

@@ -25,8 +25,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
+from . import stdnorm as norm
 from .errors import ConfigError, NumericError
 
 TAIL_SWITCH = 5.0  # standardized bound beyond which the tail sampler takes over
@@ -206,7 +206,7 @@ def calibrate_scale(sigma_w_hat: float, hyper: CdpHyper,
         warnings.warn(f"discarded {n_bad} nonpositive variance-factor draws "
                       f"({frac:.2%})", RuntimeWarning)
         factor = factor[keep]
-    quant = float(np.quantile(np.sort(factor), hyper.q))
+    quant = float(np.quantile(factor, hyper.q))
     return sigma_w_hat ** 2 / quant
 
 

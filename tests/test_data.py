@@ -10,6 +10,8 @@ from npaft import (ColumnSpec, CovariateSchema, DataError, EncodedDataset,
                    NumericError, ResponseTransform, SurvivalRecord,
                    fit_intercept_lognormal_aft, load_dataset, split_point_grid,
                    transform_responses)
+from npaft.data import _censored_lognormal_loglik, _score_and_hessian, \
+    fit_linear_lognormal_aft
 
 
 def write_csv(path, text):
@@ -171,6 +173,44 @@ class TestInterceptFit:
         assert t.sigma_aft == pytest.approx(s2, abs=1e-3)
         # the Newton optimum must dominate the refined grid
         assert _censored_loglik(t.mu_aft, t.sigma_aft, ly, delta) >= best - 1e-9
+
+
+class TestScoreAndHessian:
+    @pytest.fixture
+    def problem(self, rng):
+        n = 30
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
+        ly = X @ np.array([0.5, 0.3, -0.2]) + rng.normal(0.0, 0.8, n)
+        delta = (rng.random(n) < 0.6).astype(int)
+        return ly, delta, X
+
+    def test_derivatives_match_finite_differences(self, problem):
+        ly, delta, X = problem
+        theta = np.array([0.4, 0.2, -0.1, math.log(0.9)])
+        g, H = _score_and_hessian(theta[:3], theta[3], ly, delta == 1, X)
+
+        def loglik(t):
+            return _censored_lognormal_loglik(t[:3], t[3], ly, delta, X)
+
+        def grad(t):
+            return _score_and_hessian(t[:3], t[3], ly, delta == 1, X)[0]
+
+        h = 1e-5
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            assert g[j] == pytest.approx((loglik(theta + e) - loglik(theta - e)) / (2 * h),
+                                         rel=1e-6, abs=1e-6)
+            assert np.allclose(H[:, j], (grad(theta + e) - grad(theta - e)) / (2 * h),
+                               rtol=1e-6, atol=1e-6)
+        assert np.allclose(H, H.T, rtol=1e-12, atol=0)
+
+    def test_fit_reports_inverse_negative_hessian_at_optimum(self, problem):
+        ly, delta, X = problem
+        beta, sigma, cov = fit_linear_lognormal_aft(ly, delta, X)
+        g, H = _score_and_hessian(beta, math.log(sigma), ly, delta == 1, X)
+        assert np.linalg.norm(g) < 1e-10
+        assert np.array_equal(cov, np.linalg.inv(-H))
 
 
 class TestTransform:

@@ -1,11 +1,15 @@
 import hashlib
 import io
+import json
+import multiprocessing
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from npaft import (CdpHyper, ConfigError, DataError, EncodedDataset, FitConfig,
-                   ForestPrior, PosteriorDraws, fit, predict_m)
+                   ForestPrior, NumericError, PosteriorDraws, engine, fit, predict_m)
 from conftest import make_dataset
 
 
@@ -178,6 +182,90 @@ class TestFit:
         cfg = small_config(hyper=CdpHyper(H=2), iterations=60, burn_in=20)
         with pytest.warns(RuntimeWarning, match="truncation"):
             fit(data, cfg)
+
+
+def fit_digest(data, cfg) -> str:
+    return digest(fit(data, cfg))
+
+
+def chain_of(rng: np.random.Generator) -> int:
+    """The chain that owns a component stream: chain k's streams are spawned
+    from the root's child 1 + k."""
+    return rng.bit_generator.seed_seq.spawn_key[0] - 1
+
+
+needs_pool = pytest.mark.skipif(engine._pool_size(2, None) == 0,
+                                reason="needs fork and two usable CPUs")
+
+
+@needs_pool
+class TestParallelChains:
+    def test_more_chains_than_cpus_match_in_process(self, small_data):
+        cfg = small_config(chains=3, keep_forests=True)
+        assert 0 < engine._pool_size(3, None) <= 3
+        pooled = fit(small_data, cfg)
+        in_process = fit(small_data, cfg, trace_hook=lambda *args: None)
+        assert digest(pooled) == digest(in_process)
+        packed = [json.dumps([pf.to_jsonable() for pf in d.forests], sort_keys=True,
+                             default=lambda a: np.asarray(a).tolist())
+                  for d in (pooled, in_process)]
+        assert packed[0] == packed[1]
+        assert multiprocessing.active_children() == []
+
+    def test_spilled_store_matches_in_memory_digest(self, small_data, tmp_path):
+        spilled = fit(small_data, small_config(chains=2, memory_budget_mb=0.0001,
+                                               spill_dir=str(tmp_path)))
+        assert isinstance(spilled.m0, np.memmap)
+        # the header echoes the config; give it the in-memory run's budget
+        spilled.config = small_config(chains=2).to_jsonable()
+        assert digest(spilled) == PINNED_DIGESTS[2]
+
+    def test_worker_numeric_error_reaches_caller(self, small_data, monkeypatch):
+        original = engine.update_mass_and_scale
+
+        def nan_mass_in_chain_1(state, resid, hyper, rng):
+            original(state, resid, hyper, rng)
+            if chain_of(rng) == 1:
+                state.M = float("nan")
+
+        monkeypatch.setattr(engine, "update_mass_and_scale", nan_mass_in_chain_1)
+        with pytest.raises(NumericError, match="non-finite M at iteration 1"):
+            fit(small_data, small_config(chains=2))
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_when_hooked_single_chain_or_threaded(self):
+        assert engine._pool_size(1, None) == 0
+        assert engine._pool_size(2, lambda *args: None) == 0
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            assert engine._pool_size(2, None) == 0
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_fit_inside_daemonic_worker_runs_in_process(self, small_data):
+        # a daemonic pool worker may not start processes of its own
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(fit_digest, (small_data, small_config(chains=2)))
+            assert got.get(timeout=120) == PINNED_DIGESTS[2]
+
+    def test_worker_warnings_reach_caller_in_chain_order(self, small_data, monkeypatch):
+        original = engine.update_stick_weights
+
+        def warn_each_sweep(state, rng):
+            original(state, rng)
+            warnings.warn(f"sticks of chain {chain_of(rng)}", UserWarning)
+
+        monkeypatch.setattr(engine, "update_stick_weights", warn_each_sweep)
+        cfg = small_config(chains=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(small_data, cfg)
+        ours = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+        assert ours == [f"sticks of chain {k}" for k in range(3) for _ in range(cfg.iterations)]
 
 
 class TestPredict:

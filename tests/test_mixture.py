@@ -64,6 +64,14 @@ class TestCalibrate:
         got = calibrate_scale(2.0, h, 200_000, np.random.default_rng(5))
         assert got == pytest.approx(4.0 / quantile, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    def test_scale_is_quantile_of_sorted_factor_bit_for_bit(self, q):
+        h = CdpHyper(q=q)
+        factor = variance_factor_draws(h, 100_000, np.random.default_rng(12))
+        factor = factor[factor > 0]
+        expected = 1.3 ** 2 / float(np.quantile(np.sort(factor), q))
+        assert calibrate_scale(1.3, h, 100_000, np.random.default_rng(12)) == expected
+
     def test_large_mass_limit_median(self):
         # M -> infinity: factor -> nu/chi2_nu + 1
         h = CdpHyper()
