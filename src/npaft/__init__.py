@@ -7,15 +7,13 @@ benchmarks with censoring-aware scoring.
 """
 
 from .data import (CovariateSchema, ColumnSpec, EncodedDataset, ResponseTransform,
-                   SurvivalRecord, fit_intercept_lognormal_aft,
-                   fit_linear_lognormal_aft, load_dataset, split_point_grid,
-                   transform_responses)
+                   fit_intercept_lognormal_aft, fit_linear_lognormal_aft,
+                   load_dataset, split_point_grid, transform_responses)
 from .engine import FitConfig, PosteriorDraws, fit, predict_m
 from .errors import ConfigError, DataError, NumericError
 from .forest import (Forest, ForestPrior, PackedForest, Tree, TreeWorkspace,
-                     backfit_sweep, draw_leaf_values, forest_predict,
-                     leaf_log_marginal, mh_update_tree, propose_tree_move,
-                     split_prob, tree_predict)
+                     backfit_sweep, draw_leaf_values, leaf_log_marginal,
+                     mh_update_tree, propose_tree_move, split_prob)
 from .hte import (BenefitSummary, DteSummary, EffectDistribution, IteDraws,
                   PartialDependence, SurvivalCurve, allocate,
                   differential_effect, effect_distribution, ite_draws,

@@ -34,7 +34,7 @@ from .mixture import CdpHyper, calibrate_scale
 EXIT_INPUT, EXIT_NUMERIC, EXIT_CONFIG = 2, 3, 4
 
 DRAWS_FILE = "draws.npz"
-FORESTS_FILE = "forests.json"
+FORESTS_FILE = "forests.npz"
 
 
 def _fail(code: int, message: str):

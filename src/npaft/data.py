@@ -87,16 +87,6 @@ class CovariateSchema:
                 out.append(c.name)
         return out
 
-    def encoded_kind(self) -> list[str]:
-        """Kind of each encoded column ('continuous' or 'indicator')."""
-        out: list[str] = []
-        for c in self.columns:
-            if c.kind == "continuous":
-                out.append("continuous")
-            else:
-                out.extend(["indicator"] * c.encoded_width)
-        return out
-
     @classmethod
     def from_mapping(cls, mapping: dict) -> "CovariateSchema":
         """Build a schema from a parsed sidecar mapping.
@@ -127,24 +117,6 @@ class CovariateSchema:
         if not isinstance(mapping, dict):
             raise DataError(f"schema file {path}: 'columns' must be a mapping")
         return cls.from_mapping(mapping)
-
-
-@dataclass
-class SurvivalRecord:
-    """One observation: follow-up time, event indicator, arm, raw covariates."""
-
-    y: float
-    delta: int
-    a: int
-    x: tuple
-
-    def __post_init__(self):
-        if not self.y > 0:
-            raise DataError(f"nonpositive time {self.y!r}")
-        if self.delta not in (0, 1):
-            raise DataError(f"event indicator must be 0 or 1, got {self.delta!r}")
-        if self.a not in (0, 1):
-            raise DataError(f"treatment arm must be 0 or 1, got {self.a!r}")
 
 
 class EncodedDataset:

@@ -27,6 +27,7 @@ import os
 import tempfile
 import threading
 import warnings
+import zipfile
 from dataclasses import dataclass, field, asdict
 from multiprocessing.pool import ExceptionWithTraceback
 from pathlib import Path
@@ -44,7 +45,8 @@ from .mixture import CdpHyper, calibrate_scale, impute_censored, init_state, \
 
 MOVE_ORDER = (MOVE_GROW, MOVE_PRUNE, MOVE_CHANGE, MOVE_SWAP)
 DRAWS_SCHEMA_VERSION = 1
-FORESTS_SCHEMA_VERSION = 1
+FORESTS_SCHEMA_VERSION = 2
+_FOREST_FIELDS = ("var", "cut", "left", "right", "value")
 
 
 @dataclass
@@ -173,20 +175,46 @@ class PosteriorDraws:
                        config=header["config"], sigma_tau_sq=header["sigma_tau_sq"])
 
     def save_forests(self, path: str | Path) -> None:
+        """Write every retained draw's forest to one ``.npz`` at exactly
+        ``path``: the draws' node arrays end to end, the node count of each
+        tree, the tree count of each draw, and the predictor column count."""
         if self.forests is None:
             raise DataError("no forests retained; refit with keep_forests=True")
-        doc = {"schema_version": FORESTS_SCHEMA_VERSION,
-               "mu_aft": self.transform.mu_aft,
-               "draws": [pf.to_jsonable() for pf in self.forests]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fs = self.forests
+        with open(path, "wb") as fh:  # a bare path would get ".npz" appended
+            np.savez(fh, schema_version=np.int32(FORESTS_SCHEMA_VERSION),
+                     n_cols=np.int32(fs[0].n_cols),
+                     trees_per_draw=np.array([pf.n_trees for pf in fs], dtype=np.int32),
+                     nodes_per_tree=np.concatenate([np.diff(pf.offsets) for pf in fs]),
+                     **{f: np.concatenate([getattr(pf, f) for pf in fs])
+                        for f in _FOREST_FIELDS})
 
     def load_forests(self, path: str | Path) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("schema_version") != FORESTS_SCHEMA_VERSION:
-            raise DataError(f"unsupported forest-dump schema: {doc.get('schema_version')}")
-        self.forests = [PackedForest.from_jsonable(d) for d in doc["draws"]]
+        """Read a file written by ``save_forests``."""
+        bad = f"{path} is not a forests file of schema {FORESTS_SCHEMA_VERSION}"
+        try:
+            with np.load(path, allow_pickle=False) as z:
+                version = int(z["schema_version"])
+                if version != FORESTS_SCHEMA_VERSION:
+                    raise DataError(f"{bad}: it has schema {version}")
+                n_cols = int(z["n_cols"])
+                trees_per_draw, nodes_per_tree = z["trees_per_draw"], z["nodes_per_tree"]
+                fields = {f: z[f] for f in _FOREST_FIELDS}
+        except (OSError, ValueError, TypeError, KeyError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise DataError(f"{bad}: {exc}") from None
+        tree_start = np.concatenate([[0], np.cumsum(nodes_per_tree)])
+        draw_start = np.concatenate([[0], np.cumsum(trees_per_draw)])
+        if (draw_start[-1] != nodes_per_tree.shape[0]
+                or any(a.shape != (tree_start[-1],) for a in fields.values())):
+            raise DataError(f"{bad}: its node, tree and draw counts disagree")
+        forests = []
+        for t0, t1 in zip(draw_start[:-1], draw_start[1:]):
+            n0, n1 = tree_start[t0], tree_start[t1]
+            forests.append(PackedForest(**{f: a[n0:n1] for f, a in fields.items()},
+                                        offsets=(tree_start[t0:t1 + 1] - n0).astype(np.int32),
+                                        n_cols=n_cols))
+        self.forests = forests
 
 
 def _build_grids(U: np.ndarray, max_points: int) -> list[np.ndarray]:
@@ -454,7 +482,8 @@ def predict_m(draws: PosteriorDraws, a: int, x: np.ndarray) -> np.ndarray:
     """Per-draw regression-function values at new covariates.
 
     ``x`` is one encoded covariate vector or a matrix of rows; returns shape
-    (draws,) or (draws, rows) on the original log-time scale.
+    (draws,) or (draws, rows) on the original log-time scale. Covariates of
+    another width than the fit's raise a ``DataError``.
     """
     if draws.forests is None:
         raise DataError("forest checkpoints were not retained; "

@@ -6,6 +6,9 @@ freed slots are recycled). Decision rules are ``u[k] <= c`` with cut values
 drawn from per-column quantile grids; rule legality is tracked in grid-index
 space, so a proposal can never create a logically empty leaf, and proposals
 that would strand a leaf with zero training rows are rejected outright.
+``route`` is the one function that reads a decision rule: live trees and
+packed per-draw snapshots carry the same node fields (``var``, ``cut``,
+``left``, ``right``) and both route rows through it.
 
 The structure prior splits a depth-``d`` node with probability
 ``alpha * (1 + d)**-beta``; a node with no legal cut is a forced leaf. Leaf
@@ -23,12 +26,13 @@ current through an accepted move and reuses them for the leaf-value draw.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 # proposal mixture (grow, prune, change, swap)
 MOVE_GROW, MOVE_PRUNE, MOVE_CHANGE, MOVE_SWAP = "grow", "prune", "change", "swap"
@@ -126,22 +130,40 @@ class TreeWorkspace:
         self.scratch = np.empty(self.n, dtype=np.intp)
 
 
+def route(var, cut, left, right, cols, rows: np.ndarray, node: int):
+    """Walk a tree's node arrays from ``node``; yield ``(leaf, rows)`` for
+    every leaf below it, with the subset of ``rows`` that reaches it (possibly
+    empty). A row goes left when ``cols[var[w]][row] <= cut[w]``."""
+    stack = [(node, rows)]
+    while stack:
+        w, rr = stack.pop()
+        k = var[w]
+        if k < 0:
+            yield w, rr
+            continue
+        m = cols[k][rr] <= cut[w]
+        stack.append((left[w], rr[m]))
+        stack.append((right[w], rr[~m]))
+
+
 class Tree:
     """One binary decision tree bound to a workspace.
 
-    Node fields live in parallel lists; ``var[v] == -1`` marks a leaf.
+    Node fields live in parallel lists; ``var[v] == -1`` marks a leaf, and
+    ``cut[v]`` is the threshold ``grids[var[v]][cut_idx[v]]`` (NaN at leaves).
     ``leaf_of_row`` maps every training row to its leaf node id and
     ``count[v]`` holds the number of rows in leaf ``v``; every structural
     operation keeps both consistent.
     """
 
-    __slots__ = ("ws", "var", "cut_idx", "left", "right", "parent", "depth",
+    __slots__ = ("ws", "var", "cut_idx", "cut", "left", "right", "parent", "depth",
                  "values", "leaf_ids", "internal_ids", "leaf_of_row", "count", "free")
 
     def __init__(self, ws: TreeWorkspace):
         self.ws = ws
         self.var = [-1]
         self.cut_idx = [-1]
+        self.cut = [math.nan]
         self.left = [-1]
         self.right = [-1]
         self.parent = [-1]
@@ -167,6 +189,7 @@ class Tree:
             return self.free.pop()
         self.var.append(-1)
         self.cut_idx.append(-1)
+        self.cut.append(math.nan)
         self.left.append(-1)
         self.right.append(-1)
         self.parent.append(-1)
@@ -176,29 +199,33 @@ class Tree:
             self.values = np.append(self.values, 0.0)
         return len(self.var) - 1
 
-    def grow_leaf(self, leaf: int, var: int, cut_idx: int, rows: np.ndarray,
-                  go_left: np.ndarray) -> tuple[int, int]:
-        """Split ``leaf`` on (var, cut); rows/go_left give the child partition."""
+    def set_rule(self, v: int, var: int, cut_idx: int) -> None:
+        """Set node ``v``'s rule; ``var == -1`` makes it a leaf."""
+        self.var[v] = var
+        self.cut_idx[v] = cut_idx
+        self.cut[v] = self.ws.grids[var][cut_idx] if var >= 0 else math.nan
+
+    def grow_leaf(self, leaf: int, var: int, cut_idx: int, left_rows: np.ndarray,
+                  right_rows: np.ndarray) -> tuple[int, int]:
+        """Split ``leaf`` on (var, cut); ``left_rows``/``right_rows`` are its
+        rows that go to each child."""
         lid, rid = self._alloc(), self._alloc()
         d = self.depth[leaf] + 1
         for nid in (lid, rid):
-            self.var[nid] = -1
-            self.cut_idx[nid] = -1
+            self.set_rule(nid, -1, -1)
             self.left[nid] = self.right[nid] = -1
             self.parent[nid] = leaf
             self.depth[nid] = d
             self.values[nid] = 0.0
-        self.var[leaf] = var
-        self.cut_idx[leaf] = cut_idx
+        self.set_rule(leaf, var, cut_idx)
         self.left[leaf], self.right[leaf] = lid, rid
         self.leaf_ids.remove(leaf)
         self.leaf_ids.extend((lid, rid))
         self.internal_ids.append(leaf)
-        n_left = int(np.count_nonzero(go_left))
-        self.count[lid] = n_left
-        self.count[rid] = rows.shape[0] - n_left
-        self.leaf_of_row[rows[go_left]] = lid
-        self.leaf_of_row[rows[~go_left]] = rid
+        self.count[lid] = left_rows.shape[0]
+        self.count[rid] = right_rows.shape[0]
+        self.leaf_of_row[left_rows] = lid
+        self.leaf_of_row[right_rows] = rid
         return lid, rid
 
     def prune_node(self, v: int, rows_mask: np.ndarray) -> None:
@@ -207,8 +234,7 @@ class Tree:
         self.leaf_ids.remove(lid)
         self.leaf_ids.remove(rid)
         self.free.extend((rid, lid))
-        self.var[v] = -1
-        self.cut_idx[v] = -1
+        self.set_rule(v, -1, -1)
         self.left[v] = self.right[v] = -1
         self.internal_ids.remove(v)
         self.leaf_ids.append(v)
@@ -277,7 +303,7 @@ class Tree:
         return (len(self.ws.splittable_cols)
                 - sum(1 for lo, hi in intervals.values() if hi <= lo))
 
-    # -- routing and prediction -------------------------------------------
+    # -- routing -----------------------------------------------------------
 
     def reroute_subtree(self, v: int) -> tuple[np.ndarray, np.ndarray, dict[int, int]] | None:
         """Route the rows now under ``v`` through its current rules.
@@ -290,38 +316,15 @@ class Tree:
         for leaf in self.leaves_under(v):
             lut[leaf] = True
         rows = np.nonzero(lut[self.leaf_of_row])[0]
-        cols, grids, out = self.ws.cols, self.ws.grids, self.ws.scratch
+        out = self.ws.scratch
         counts: dict[int, int] = {}
-        stack = [(v, rows)]
-        while stack:
-            w, rr = stack.pop()
-            k = self.var[w]
-            if k < 0:
-                if rr.shape[0] == 0:
-                    return None
-                out[rr] = w
-                counts[w] = rr.shape[0]
-                continue
-            m = cols[k][rr] <= grids[k][self.cut_idx[w]]
-            stack.append((self.left[w], rr[m]))
-            stack.append((self.right[w], rr[~m]))
+        for leaf, rr in route(self.var, self.cut, self.left, self.right,
+                              self.ws.cols, rows, v):
+            if rr.shape[0] == 0:
+                return None
+            out[rr] = leaf
+            counts[leaf] = rr.shape[0]
         return rows, out[rows], counts
-
-    def assign_with_columns(self, cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-        """Leaf assignment of ``rows`` under alternative column values."""
-        out = np.empty(rows.shape[0], dtype=np.int32)
-        grids = self.ws.grids
-        stack = [(0, np.arange(rows.shape[0]))]
-        while stack:
-            v, pos = stack.pop()
-            if self.var[v] < 0:
-                out[pos] = v
-                continue
-            c = grids[self.var[v]][self.cut_idx[v]]
-            m = cols[self.var[v]][rows[pos]] <= c
-            stack.append((self.left[v], pos[m]))
-            stack.append((self.right[v], pos[~m]))
-        return out
 
     def fit_vector(self) -> np.ndarray:
         return self.values[self.leaf_of_row]
@@ -360,24 +363,6 @@ class Tree:
                 stack.append((rw, ivr, n_legal - (ci + 1 >= hi)))
         return True, total
 
-    def predict_row(self, u: np.ndarray) -> float:
-        v = 0
-        grids = self.ws.grids
-        while self.var[v] >= 0:
-            if u[self.var[v]] <= grids[self.var[v]][self.cut_idx[v]]:
-                v = self.left[v]
-            else:
-                v = self.right[v]
-        return float(self.values[v])
-
-
-def tree_predict(tree: Tree, u: np.ndarray) -> float:
-    """Follow decision rules from the root; left when ``u[k] <= c``."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != tree.ws.p:
-        raise ConfigError(f"predictor has {u.shape[0]} entries, tree expects {tree.ws.p}")
-    return tree.predict_row(u)
-
 
 @dataclass
 class Proposal:
@@ -390,8 +375,8 @@ class Proposal:
     log_q_ratio: float = 0.0
     node: int = -1                    # grown leaf, pruned node, or top of the changed subtree
     rules: tuple = ()                 # (node, var, cut_idx) rules the move sets
-    rows: np.ndarray | None = None    # grow: the leaf's rows; change/swap: the subtree's rows
-    route: np.ndarray | None = None   # grow: go-left flag per row; change/swap: new leaf per row
+    rows: tuple | np.ndarray | None = None  # grow: (left, right) rows; change/swap: subtree rows
+    leaves: np.ndarray | None = None  # change/swap: new leaf per row
     counts: dict | None = None        # change/swap: rows per leaf under ``node`` after the move
 
 
@@ -416,6 +401,9 @@ def _split_log_prior(tree: Tree, v: int, n_legal: int, width: int, lo: int,
     return lpr
 
 
+_STUMP_LEFT, _STUMP_RIGHT = (1, -1, -1), (2, -1, -1)  # children of a one-rule tree
+
+
 def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
     leaves = tree.leaf_ids
     leaf = leaves[rng.integers(len(leaves))]
@@ -425,9 +413,11 @@ def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> P
     k, lo, hi = legal[rng.integers(len(legal))]
     ci = int(rng.integers(lo, hi))
     rows = np.nonzero(tree.leaf_of_row == leaf)[0]
-    go_left = tree.ws.cols[k][rows] <= tree.ws.grids[k][ci]
-    n_left = int(np.count_nonzero(go_left))
-    if n_left == 0 or n_left == rows.shape[0]:
+    # route the leaf's rows through a one-rule tree: node 0 splits into 1 and 2
+    parts = dict(route((k, -1, -1), (tree.ws.grids[k][ci], math.nan, math.nan),
+                       _STUMP_LEFT, _STUMP_RIGHT, tree.ws.cols, rows, 0))
+    left_rows, right_rows = parts[1], parts[2]
+    if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
         return Proposal(MOVE_GROW)  # would strand an empty leaf
 
     width = hi - lo
@@ -442,7 +432,7 @@ def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> P
            - math.log(MOVE_PROBS[MOVE_GROW])
            + math.log(len(leaves)) + math.log(len(legal)) + math.log(width))
     return Proposal(MOVE_GROW, True, lpr, lqr, node=leaf, rules=((leaf, k, ci),),
-                    rows=rows, route=go_left)
+                    rows=(left_rows, right_rows))
 
 
 def _propose_prune(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
@@ -471,22 +461,21 @@ def _propose_rules(tree: Tree, kind: str, v: int, rules: tuple,
     stays legal and every leaf under ``v`` keeps a row; its log prior ratio
     is the change in the subtree's rule log-prior.
     """
-    var, cut = tree.var, tree.cut_idx
-    old = tuple((w, var[w], cut[w]) for w, _, _ in rules)
-    for w, k, ci in rules:
-        var[w], cut[w] = k, ci
+    old = tuple((w, tree.var[w], tree.cut_idx[w]) for w, _, _ in rules)
+    for rule in rules:
+        tree.set_rule(*rule)
     try:
         ok_new, rules_new = tree.validate_subtree(v, intervals)
         routed = tree.reroute_subtree(v) if ok_new else None
     finally:
-        for w, k, ci in old:
-            var[w], cut[w] = k, ci
+        for rule in old:
+            tree.set_rule(*rule)
     if routed is None:
         return Proposal(kind)
     _, rules_old = tree.validate_subtree(v, intervals)
     rows, leaves, counts = routed
     return Proposal(kind, True, rules_new - rules_old, 0.0, node=v, rules=rules,
-                    rows=rows, route=leaves, counts=counts)
+                    rows=rows, leaves=leaves, counts=counts)
 
 
 def _propose_change(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
@@ -547,14 +536,14 @@ def apply_move(tree: Tree, prop: Proposal) -> None:
     v = prop.node
     if prop.kind == MOVE_GROW:
         _, k, ci = prop.rules[0]
-        tree.grow_leaf(v, k, ci, prop.rows, prop.route)
+        tree.grow_leaf(v, k, ci, *prop.rows)
     elif prop.kind == MOVE_PRUNE:
         lor = tree.leaf_of_row
         tree.prune_node(v, (lor == tree.left[v]) | (lor == tree.right[v]))
     else:
-        for w, k, ci in prop.rules:
-            tree.var[w], tree.cut_idx[w] = k, ci
-        tree.leaf_of_row[prop.rows] = prop.route
+        for rule in prop.rules:
+            tree.set_rule(*rule)
+        tree.leaf_of_row[prop.rows] = prop.leaves
         for leaf, c in prop.counts.items():
             tree.count[leaf] = c
 
@@ -566,6 +555,11 @@ def leaf_sums(tree: Tree, partial_residuals: np.ndarray) -> list[float]:
     leaf's rows has the same bits."""
     return np.bincount(tree.leaf_of_row, weights=partial_residuals,
                        minlength=len(tree.var) + 2).tolist()
+
+
+def _row_sum(x: np.ndarray) -> float:
+    """Sum of ``x`` in order, the way ``leaf_sums`` adds up one leaf's rows."""
+    return np.bincount(np.zeros(x.shape[0], dtype=np.intp), weights=x).item()
 
 
 def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
@@ -582,11 +576,10 @@ def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
     v = prop.node
     count = tree.count
     if prop.kind == MOVE_GROW:
-        go_left = prop.route
-        s_right, s_left = np.bincount(go_left, weights=partial_residuals[prop.rows],
-                                      minlength=2).tolist()
-        n_left = int(np.count_nonzero(go_left))
-        n_right = go_left.shape[0] - n_left
+        left, right = prop.rows
+        s_left = _row_sum(partial_residuals[left])
+        s_right = _row_sum(partial_residuals[right])
+        n_left, n_right = left.shape[0], right.shape[0]
         llr = (_collapsed_term(s_left, n_left, s2, sm2)
                + _collapsed_term(s_right, n_right, s2, sm2)
                - _collapsed_term(sums[v], count[v], s2, sm2))
@@ -598,7 +591,7 @@ def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
                - _collapsed_term(s_l, count[lid], s2, sm2)
                - _collapsed_term(s_r, count[rid], s2, sm2))
         return llr, None
-    new_sums = np.bincount(prop.route, weights=partial_residuals[prop.rows],
+    new_sums = np.bincount(prop.leaves, weights=partial_residuals[prop.rows],
                            minlength=len(tree.var)).tolist()
     llr = 0.0
     for leaf, c in prop.counts.items():
@@ -684,9 +677,6 @@ class Forest:
         self.m_total = np.zeros(ws.n)
         self.move_stats: dict[str, list[int]] = {}
 
-    def predict(self, u: np.ndarray) -> float:
-        return float(sum(t.predict_row(np.asarray(u, dtype=float)) for t in self.trees))
-
     def refresh_cache(self) -> None:
         for j, t in enumerate(self.trees):
             self.fits[j] = t.fit_vector()
@@ -703,16 +693,13 @@ class Forest:
         cols[col_index] = np.ascontiguousarray(flipped_col, dtype=float)
         total = self.m_total.copy()
         all_rows = np.arange(self.ws.n)
+        assign = np.empty(self.ws.n, dtype=np.intp)
         for j, t in enumerate(self.trees):
             if t.uses_column(col_index):
-                assign = t.assign_with_columns(cols, all_rows)
+                for leaf, rr in route(t.var, t.cut, t.left, t.right, cols, all_rows, 0):
+                    assign[rr] = leaf
                 total += t.values[assign] - self.fits[j]
         return total
-
-
-def forest_predict(forest: Forest, u: np.ndarray) -> float:
-    """Sum of the individual tree contributions at one predictor vector."""
-    return forest.predict(u)
 
 
 def backfit_sweep(forest: Forest, shifted_responses: np.ndarray, sigma: float,
@@ -741,14 +728,16 @@ def backfit_sweep(forest: Forest, shifted_responses: np.ndarray, sigma: float,
 
 @dataclass
 class PackedForest:
-    """Flat-array snapshot of a forest, for storage and batch prediction."""
+    """Flat-array snapshot of a forest's live nodes, for storage and batch
+    prediction; the node fields are those of a live ``Tree``."""
 
     var: np.ndarray      # int32, -1 marks a leaf
     cut: np.ndarray      # float64 cut values (NaN at leaves)
-    left: np.ndarray     # int32 absolute node index
+    left: np.ndarray     # int32 node index within the forest (-1 at leaves)
     right: np.ndarray
     value: np.ndarray    # float64 leaf values (0 at internal nodes)
-    offsets: np.ndarray  # int32, length n_trees + 1
+    offsets: np.ndarray  # int32 root index per tree, then the node count
+    n_cols: int          # predictor columns: the arm, then the covariates
 
     @property
     def n_trees(self) -> int:
@@ -757,71 +746,44 @@ class PackedForest:
     def predict_matrix(self, U: np.ndarray) -> np.ndarray:
         """Ensemble fit for every row of ``U``."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        n = U.shape[0]
-        total = np.zeros(n)
-        for j in range(self.n_trees):
-            idx = np.full(n, self.offsets[j], dtype=np.int64)
-            while True:
-                v = self.var[idx]
-                active = np.nonzero(v >= 0)[0]
-                if active.size == 0:
-                    break
-                cur = idx[active]
-                go_left = U[active, self.var[cur]] <= self.cut[cur]
-                idx[active] = np.where(go_left, self.left[cur], self.right[cur])
-            total += self.value[idx]
+        if U.shape[1] != self.n_cols:
+            raise DataError(f"rows have {U.shape[1] - 1} covariates, the fit had "
+                            f"{self.n_cols - 1} (each row is the arm, then the covariates)")
+        cols = np.ascontiguousarray(U.T)
+        rows = np.arange(U.shape[0])
+        var, cut, left, right = (a.tolist() for a in (self.var, self.cut, self.left, self.right))
+        total = np.zeros(U.shape[0])
+        for root in self.offsets[:-1].tolist():
+            for leaf, rr in route(var, cut, left, right, cols, rows, root):
+                total[rr] += self.value[leaf]
         return total
-
-    def to_jsonable(self) -> dict:
-        return {
-            "var": self.var.tolist(),
-            "cut": self.cut.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "offsets": self.offsets.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, doc: dict) -> "PackedForest":
-        return cls(var=np.asarray(doc["var"], dtype=np.int32),
-                   cut=np.asarray(doc["cut"], dtype=float),
-                   left=np.asarray(doc["left"], dtype=np.int32),
-                   right=np.asarray(doc["right"], dtype=np.int32),
-                   value=np.asarray(doc["value"], dtype=float),
-                   offsets=np.asarray(doc["offsets"], dtype=np.int32))
 
 
 def pack_forest(forest: Forest) -> PackedForest:
-    """Renumber live trees into contiguous flat arrays (preorder per tree)."""
-    var, cut, left, right, value, offsets = [], [], [], [], [], [0]
-    for t in forest.trees:
-        base = len(var)
-        remap: dict[int, int] = {}
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            remap[v] = base + len(order)
-            order.append(v)
-            if t.var[v] >= 0:
-                stack.append(t.right[v])
-                stack.append(t.left[v])
-        for v in order:
-            if t.var[v] >= 0:
-                var.append(t.var[v])
-                cut.append(float(t.ws.grids[t.var[v]][t.cut_idx[v]]))
-                left.append(remap[t.left[v]])
-                right.append(remap[t.right[v]])
-                value.append(0.0)
-            else:
-                var.append(-1)
-                cut.append(math.nan)
-                left.append(-1)
-                right.append(-1)
-                value.append(float(t.values[v]))
-        offsets.append(len(var))
-    return PackedForest(np.asarray(var, dtype=np.int32), np.asarray(cut),
-                        np.asarray(left, dtype=np.int32),
-                        np.asarray(right, dtype=np.int32),
-                        np.asarray(value), np.asarray(offsets, dtype=np.int32))
+    """Copy the live nodes of every tree into flat arrays, in slot order;
+    freed slots are dropped and child indices renumbered to match."""
+    trees = forest.trees
+    slots = [len(t.var) for t in trees]
+    n = sum(slots)
+
+    def flat(name, dtype):
+        return np.fromiter(itertools.chain.from_iterable(getattr(t, name) for t in trees),
+                           dtype, n)
+
+    var, cut = flat("var", np.int32), flat("cut", np.float64)
+    left, right = flat("left", np.intp), flat("right", np.intp)
+    value = np.concatenate([t.values[:k] for t, k in zip(trees, slots)])
+    base = np.cumsum([0] + slots[:-1])
+    live = np.ones(n, dtype=bool)
+    live[[b + f for t, b in zip(trees, base) for f in t.free]] = False
+    new_id = np.cumsum(live) - 1
+    leaf = var < 0
+    shift = np.repeat(base, slots)
+    # a leaf's -1 child indexes some other slot here; np.where drops it
+    left = np.where(leaf, -1, new_id[left + shift])
+    right = np.where(leaf, -1, new_id[right + shift])
+    value[~leaf] = 0.0
+    offsets = np.cumsum([0] + [k - len(t.free) for t, k in zip(trees, slots)])
+    return PackedForest(var[live], cut[live], left[live].astype(np.int32),
+                        right[live].astype(np.int32), value[live],
+                        offsets.astype(np.int32), forest.ws.p)

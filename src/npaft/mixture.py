@@ -303,14 +303,9 @@ def update_cluster_locations(state: CdpState, centered_residuals: np.ndarray,
 def update_mass_and_scale(state: CdpState, centered_residuals: np.ndarray,
                           hyper: CdpHyper, rng: np.random.Generator) -> CdpState:
     """Gamma update for the mass parameter, inverse-gamma for the kernel variance."""
-    V = np.minimum(state.V[:-1], STICK_CLAMP)
-    rate = hyper.psi2 - float(np.sum(np.log1p(-V)))
-    state.M = float(rng.gamma(hyper.psi1 + state.H - 1, 1.0 / rate))
-    r = np.asarray(centered_residuals)
-    dev = r - state.tau[state.S]
-    s_hat_sq = float(dev @ dev)
-    shape = 0.5 * (hyper.nu + r.shape[0])
-    scale = 0.5 * (s_hat_sq + hyper.kappa * hyper.nu)
+    shape, rate = mass_posterior_params(state, hyper)
+    state.M = float(rng.gamma(shape, 1.0 / rate))
+    shape, scale = scale_posterior_params(state, centered_residuals, hyper)
     state.sigma_sq = scale / float(rng.gamma(shape, 1.0))
     return state
 

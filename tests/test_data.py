@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from npaft import (ColumnSpec, CovariateSchema, DataError, EncodedDataset,
-                   NumericError, ResponseTransform, SurvivalRecord,
-                   fit_intercept_lognormal_aft, load_dataset, split_point_grid,
-                   transform_responses)
+                   NumericError, ResponseTransform, fit_intercept_lognormal_aft,
+                   load_dataset, split_point_grid, transform_responses)
 from npaft.data import _censored_lognormal_loglik, _score_and_hessian, \
     fit_linear_lognormal_aft
 
@@ -36,20 +35,6 @@ class TestSchema:
         schema = CovariateSchema.from_mapping(
             {"a": "continuous", "b": {"categorical": ["u", "v"]}})
         assert schema.encoded_width == 3
-
-
-class TestSurvivalRecord:
-    def test_valid(self):
-        SurvivalRecord(1.0, 1, 0, (0.5,))
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(y=0.0, delta=1, a=0, x=()),
-        dict(y=1.0, delta=2, a=0, x=()),
-        dict(y=1.0, delta=1, a=3, x=()),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DataError):
-            SurvivalRecord(**kwargs)
 
 
 class TestLoad:

@@ -1,6 +1,5 @@
 import hashlib
 import io
-import json
 import multiprocessing
 import threading
 import warnings
@@ -9,7 +8,8 @@ import numpy as np
 import pytest
 
 from npaft import (CdpHyper, ConfigError, DataError, EncodedDataset, FitConfig,
-                   ForestPrior, NumericError, PosteriorDraws, engine, fit, predict_m)
+                   ForestPrior, NumericError, PosteriorDraws, engine, fit,
+                   partial_dependence, predict_m)
 from conftest import make_dataset
 
 
@@ -30,6 +30,14 @@ PINNED_DIGESTS = {
     1: "47ce1a5000ed34bb3dd92f27e5365caf9a1c0a8d3559585a256ec9fbdb23259f",
     2: "d622eebda1aae2a9837a338d09d32f2bcdc8995b6e480d466ff9fa4fa888b61d",
 }
+
+
+def assert_same_forests(a, b):
+    assert len(a) == len(b)
+    for pa, pb in zip(a, b):
+        assert pa.n_cols == pb.n_cols
+        for f in ("var", "cut", "left", "right", "value", "offsets"):
+            assert np.array_equal(getattr(pa, f), getattr(pb, f), equal_nan=True), f
 
 
 def digest(draws: PosteriorDraws) -> str:
@@ -206,10 +214,7 @@ class TestParallelChains:
         pooled = fit(small_data, cfg)
         in_process = fit(small_data, cfg, trace_hook=lambda *args: None)
         assert digest(pooled) == digest(in_process)
-        packed = [json.dumps([pf.to_jsonable() for pf in d.forests], sort_keys=True,
-                             default=lambda a: np.asarray(a).tolist())
-                  for d in (pooled, in_process)]
-        assert packed[0] == packed[1]
+        assert_same_forests(pooled.forests, in_process.forests)
         assert multiprocessing.active_children() == []
 
     def test_spilled_store_matches_in_memory_digest(self, small_data, tmp_path):
@@ -288,6 +293,18 @@ class TestPredict:
         out = predict_m(draws, 0, small_data.X[:5])
         assert out.shape == (draws.n_draws, 5)
 
+    def test_covariate_width_mismatch(self, small_data):
+        draws = fit(small_data, small_config(keep_forests=True))
+        assert small_data.p_enc == 3
+        for width in (1, 2, 4, 6):  # too narrow and too wide
+            X = np.zeros((2, width))
+            with pytest.raises(DataError, match=f"{width} covariates, the fit had 3"):
+                predict_m(draws, 1, X)
+            data = EncodedDataset.from_arrays(np.ones(2), np.ones(2, int),
+                                              np.array([0, 1]), X)
+            with pytest.raises(DataError, match=f"{width} covariates, the fit had 3"):
+                partial_dependence(draws, data, 0, np.array([0.0]))
+
     def test_requires_forests(self, small_data):
         draws = fit(small_data, small_config(keep_forests=False))
         with pytest.raises(DataError, match="keep_forests"):
@@ -321,12 +338,26 @@ class TestPersistence:
         assert back.transform == draws.transform
         assert back.config == draws.config
 
+        # the exact path is written, whatever its suffix
         ff = tmp_path / "forests.json"
         draws.save_forests(ff)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.npz", "forests.json"]
         back.load_forests(ff)
+        assert_same_forests(back.forests, draws.forests)
         x = small_data.X[4]
-        assert np.allclose(predict_m(back, 1, x), predict_m(draws, 1, x),
-                           rtol=0, atol=0)
+        assert np.array_equal(predict_m(back, 1, x), predict_m(draws, 1, x))
+
+    def test_bad_forest_file_rejected(self, small_data, tmp_path):
+        draws = fit(small_data, small_config(keep_forests=True))
+        good = tmp_path / "forests.npz"
+        draws.save_forests(good)
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(good.read_bytes()[:len(good.read_bytes()) // 2])
+        old_json = tmp_path / "forests.json"
+        old_json.write_text('{"schema_version": 1, "draws": []}')
+        for bad in (truncated, old_json):
+            with pytest.raises(DataError, match=bad.name):
+                draws.load_forests(bad)
 
     def test_save_is_byte_deterministic(self, small_data, tmp_path):
         draws = fit(small_data, small_config())

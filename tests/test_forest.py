@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from npaft import (ConfigError, Forest, ForestPrior, Tree, TreeWorkspace,
-                   backfit_sweep, draw_leaf_values, forest_predict,
-                   leaf_log_marginal, mh_update_tree, propose_tree_move,
-                   split_prob, tree_predict)
+from npaft import (ConfigError, DataError, Forest, ForestPrior, Tree, TreeWorkspace,
+                   backfit_sweep, draw_leaf_values, leaf_log_marginal,
+                   mh_update_tree, split_prob)
 from npaft.data import split_point_grid
 from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP,
                           _log_lik_ratio, _propose_change, _propose_grow,
                           _propose_prune, _propose_swap, apply_move, leaf_sums,
-                          pack_forest)
+                          pack_forest, route)
 
 
 def make_ws(U, max_points=100):
@@ -25,7 +24,7 @@ def split(tree, leaf, var, cut_idx):
     """Test helper: grow a specific (leaf, var, cut) with rows routed."""
     rows = np.nonzero(tree.leaf_of_row == leaf)[0]
     go_left = tree.ws.cols[var][rows] <= tree.ws.grids[var][cut_idx]
-    return tree.grow_leaf(leaf, var, cut_idx, rows, go_left)
+    return tree.grow_leaf(leaf, var, cut_idx, rows[go_left], rows[~go_left])
 
 
 @pytest.fixture
@@ -33,29 +32,43 @@ def prior():
     return ForestPrior(alpha=0.95, beta=2.0, n_trees=200, k=2.0, zeta=4.0)
 
 
+def one_tree(ws):
+    """A one-tree forest and its tree, for packing a hand-built tree."""
+    forest = Forest(ws, ForestPrior(n_trees=1, zeta=1.0, grids=ws.grids))
+    return forest, forest.trees[0]
+
+
+def packed_predict(forest, probes):
+    return pack_forest(forest).predict_matrix(np.asarray(probes, dtype=float))
+
+
+def walk_from(t, v, u):
+    """Oracle: the leaf one row reaches from node ``v`` of a live tree,
+    following its grid-index rules."""
+    while t.var[v] >= 0:
+        k = t.var[v]
+        v = t.left[v] if u[k] <= t.ws.grids[k][t.cut_idx[v]] else t.right[v]
+    return v
+
+
 class TestTreePredict:
     def test_single_leaf(self):
-        ws = make_ws(np.array([[0.0], [1.0]]))
-        t = Tree(ws)
+        forest, t = one_tree(make_ws(np.array([[0.0], [1.0]])))
         t.values[0] = 0.7
-        assert tree_predict(t, [0.3]) == 0.7
-        assert tree_predict(t, [123.0]) == 0.7
+        assert packed_predict(forest, [[0.3], [123.0]]).tolist() == [0.7, 0.7]
 
     def test_depth_one_rule(self):
-        ws = make_ws(np.array([[-1.0], [1.0]]))
-        t = Tree(ws)
+        forest, t = one_tree(make_ws(np.array([[-1.0], [1.0]])))
         lid, rid = split(t, 0, 0, 0)  # cut at midpoint 0.0
         t.values[lid], t.values[rid] = -1.0, 1.0
-        assert tree_predict(t, [-2.0]) == -1.0
-        assert tree_predict(t, [0.0]) == -1.0   # left on equality
-        assert tree_predict(t, [0.5]) == 1.0
+        # left on equality at 0.0
+        assert packed_predict(forest, [[-2.0], [0.0], [0.5]]).tolist() == [-1.0, -1.0, 1.0]
 
     def test_depth_three_hand_traced(self):
         # three binary covariates, all 8 cells populated
         U = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)],
                      dtype=float)
-        ws = make_ws(U)
-        t = Tree(ws)
+        forest, t = one_tree(make_ws(U))
         l0, r0 = split(t, 0, 0, 0)
         l1, r1 = split(t, l0, 1, 0)
         l2, r2 = split(t, r1, 2, 0)
@@ -64,13 +77,14 @@ class TestTreePredict:
         # manual rule tracing: x0<=.5 ? (x1<=.5 ? 1 : (x2<=.5 ? 2 : 3)) : 4
         expect = {(0, 0, 0): 1, (0, 0, 1): 1, (0, 1, 0): 2, (0, 1, 1): 3,
                   (1, 0, 0): 4, (1, 0, 1): 4, (1, 1, 0): 4, (1, 1, 1): 4}
-        for probe, val in expect.items():
-            assert tree_predict(t, np.array(probe, dtype=float)) == val
+        assert packed_predict(forest, list(expect)).tolist() == list(expect.values())
 
     def test_width_mismatch(self):
-        ws = make_ws(np.array([[0.0], [1.0]]))
-        with pytest.raises(ConfigError):
-            tree_predict(Tree(ws), [0.0, 1.0])
+        forest, _ = one_tree(make_ws(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        pf = pack_forest(forest)
+        for probe in ([[0.0]], [[0.0, 1.0, 2.0]]):
+            with pytest.raises(DataError, match="covariates"):
+                pf.predict_matrix(probe)
 
 
 class TestForestPredict:
@@ -79,12 +93,12 @@ class TestForestPredict:
         forest = Forest(ws, ForestPrior(n_trees=7, zeta=1.0, grids=ws.grids))
         for t in forest.trees:
             t.values[0] = 0.31
-        assert forest_predict(forest, [0.0]) == pytest.approx(7 * 0.31, rel=1e-15)
+        assert packed_predict(forest, [[0.0]])[0] == pytest.approx(7 * 0.31, rel=1e-15)
 
     def test_all_zero(self):
         ws = make_ws(np.zeros((3, 1)))
         forest = Forest(ws, ForestPrior(n_trees=5, zeta=1.0, grids=ws.grids))
-        assert forest_predict(forest, [0.0]) == 0.0
+        assert packed_predict(forest, [[0.0]])[0] == 0.0
 
     def test_matches_independent_sum(self, rng):
         U = rng.standard_normal((30, 3))
@@ -93,9 +107,11 @@ class TestForestPredict:
         resid = rng.standard_normal(30)
         for _ in range(30):
             backfit_sweep(forest, resid, 0.8, rng)
-        for probe in rng.standard_normal((10, 3)):
-            total = sum(tree_predict(t, probe) for t in forest.trees)
-            assert forest_predict(forest, probe) == pytest.approx(total, abs=1e-12)
+        probes = rng.standard_normal((10, 3))
+        batch = packed_predict(forest, probes)
+        for i, probe in enumerate(probes):
+            total = sum(t.values[walk_from(t, 0, probe)] for t in forest.trees)
+            assert batch[i] == pytest.approx(total, abs=1e-12)
 
 
 class TestSplitProb:
@@ -536,31 +552,39 @@ class TestBackfit:
 
 class TestPackedForest:
     def test_matches_live_forest(self, rng):
-        U = rng.standard_normal((30, 3))
-        ws = make_ws(U)
-        prior = ForestPrior(n_trees=8, zeta=2.0, grids=ws.grids)
-        forest = Forest(ws, prior)
-        y = U[:, 1] + rng.normal(0, 0.2, 30)
-        for _ in range(40):
-            backfit_sweep(forest, y, 0.5, rng)
+        ws = mixed_workspace(rng)
+        forest = TestMovePath.grown_forest(rng, ws, n_trees=8, sweeps=60)
+        all_rows = np.arange(ws.n)
+        for t in forest.trees:
+            # the cut list tracks cut_idx through every applied and rejected move
+            for v in set(range(len(t.var))) - set(t.free):
+                if t.var[v] >= 0:
+                    assert t.cut[v] == ws.grids[t.var[v]][t.cut_idx[v]]
+                else:
+                    assert math.isnan(t.cut[v])
+            assign = np.full(ws.n, -1)
+            for leaf, rows in route(t.var, t.cut, t.left, t.right, ws.cols, all_rows, 0):
+                assign[rows] = leaf
+            assert np.array_equal(assign, t.leaf_of_row)
+        # pruned trees leave freed slots, which packing must drop
+        assert any(t.free for t in forest.trees)
         pf = pack_forest(forest)
-        probes = rng.standard_normal((20, 3))
-        batch = pf.predict_matrix(probes)
-        for i, probe in enumerate(probes):
-            assert batch[i] == pytest.approx(forest.predict(probe), abs=1e-12)
+        assert pf.var.shape[0] == sum(len(t.var) - len(t.free) for t in forest.trees)
+        assert np.array_equal(pf.predict_matrix(ws.U), forest.m_total)
 
-    def test_json_roundtrip(self, rng):
-        U = rng.standard_normal((12, 2))
-        ws = make_ws(U)
-        prior = ForestPrior(n_trees=3, zeta=1.0, grids=ws.grids)
-        forest = Forest(ws, prior)
-        backfit_sweep(forest, rng.standard_normal(12), 1.0, rng)
-        pf = pack_forest(forest)
-        from npaft.forest import PackedForest
-        back = PackedForest.from_jsonable(pf.to_jsonable())
-        probes = rng.standard_normal((5, 2))
-        assert np.allclose(pf.predict_matrix(probes), back.predict_matrix(probes),
-                           rtol=0, atol=0)
+    def test_route_yields_every_leaf_once(self, rng):
+        ws = mixed_workspace(rng)
+        forest = TestMovePath.grown_forest(rng, ws)
+        probes = rng.standard_normal((25, ws.p))
+        cols = list(probes.T)
+        for t in forest.trees:
+            for node in [0] + t.internal_ids:
+                got = list(route(t.var, t.cut, t.left, t.right, cols, np.arange(25), node))
+                assert sorted(leaf for leaf, _ in got) == sorted(t.leaves_under(node))
+                rows = np.sort(np.concatenate([rr for _, rr in got]))
+                assert np.array_equal(rows, np.arange(25))
+                for leaf, rr in got:
+                    assert all(walk_from(t, node, probes[i]) == leaf for i in rr)
 
 
 class TestPriorValidation:
