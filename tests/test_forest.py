@@ -572,6 +572,33 @@ class TestPackedForest:
         assert pf.var.shape[0] == sum(len(t.var) - len(t.free) for t in forest.trees)
         assert np.array_equal(pf.predict_matrix(ws.U), forest.m_total)
 
+    def test_json_roundtrip(self, rng, tmp_path):
+        """Packed forests of different sizes survive the forests file (which
+        replaced the JSON form) field for field."""
+        from npaft.data import ResponseTransform
+        from npaft.engine import PosteriorDraws
+        ws = make_ws(rng.standard_normal((12, 2)))
+        packed = []
+        for n_trees in (3, 1):
+            forest = Forest(ws, ForestPrior(n_trees=n_trees, zeta=1.0, grids=ws.grids))
+            backfit_sweep(forest, rng.standard_normal(12), 1.0, rng)
+            packed.append(pack_forest(forest))
+        empty = np.zeros((0, 0))
+        draws = PosteriorDraws(*([empty] * 12), transform=ResponseTransform(0.0, 1.0),
+                               config={}, sigma_tau_sq=1.0, forests=packed)
+        f = tmp_path / "forests.npz"
+        draws.save_forests(f)
+        draws.forests = None
+        draws.load_forests(f)
+        probes = rng.standard_normal((5, 2))
+        assert len(draws.forests) == len(packed)
+        for pf, back in zip(packed, draws.forests):
+            assert back.n_cols == pf.n_cols
+            for name in ("var", "cut", "left", "right", "value", "offsets"):
+                assert np.array_equal(getattr(back, name), getattr(pf, name),
+                                      equal_nan=True), name
+            assert np.array_equal(back.predict_matrix(probes), pf.predict_matrix(probes))
+
     def test_route_yields_every_leaf_once(self, rng):
         ws = mixed_workspace(rng)
         forest = TestMovePath.grown_forest(rng, ws)
