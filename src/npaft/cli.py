@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import click
@@ -198,7 +199,7 @@ def _load_draws(draws_dir: str, need_forests: bool = False) -> PosteriorDraws:
         raise DataError(f"no draw file at {f}")
     try:
         draws = PosteriorDraws.load(f)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"corrupt draw file {f}: {exc}") from None
     forests = d / FORESTS_FILE
     if forests.exists():

@@ -142,8 +142,8 @@ def route(var, cut, left, right, cols, rows: np.ndarray, node: int):
             yield w, rr
             continue
         m = cols[k][rr] <= cut[w]
-        stack.append((left[w], rr[m]))
-        stack.append((right[w], rr[~m]))
+        stack.append((left[w], rr.compress(m)))
+        stack.append((right[w], rr.compress(~m)))
 
 
 class Tree:
@@ -753,9 +753,11 @@ class PackedForest:
         rows = np.arange(U.shape[0])
         var, cut, left, right = (a.tolist() for a in (self.var, self.cut, self.left, self.right))
         total = np.zeros(U.shape[0])
+        assign = np.empty(U.shape[0], dtype=np.intp)
         for root in self.offsets[:-1].tolist():
             for leaf, rr in route(var, cut, left, right, cols, rows, root):
-                total[rr] += self.value[leaf]
+                assign[rr] = leaf
+            total += self.value[assign]
         return total
 
 

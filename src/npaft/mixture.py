@@ -256,19 +256,68 @@ def simulate_residual_variance(hyper: CdpHyper, n_draws: int,
 def update_cluster_labels(state: CdpState, centered_residuals: np.ndarray,
                           rng: np.random.Generator) -> CdpState:
     """Resample labels with P(S_i = h) proportional to
-    pi_h * phi((r_i - tau_h)/sigma), computed in log space."""
+    pi_h * phi((r_i - tau_h)/sigma), computed in log space.
+
+    The work array is component-major, ``(H, n)``, and every pass runs in
+    place over it, so each reduction over the H components is H contiguous
+    vector operations of length n rather than n short inner loops. The
+    result is bit-identical to the row-major formula
+
+        w = exp(logw - logw.max(1)); w /= w.sum(1)
+        S = (u[:, None] > cumsum(w, 1)).sum(1)
+
+    because every elementwise step is the same, ``max`` is exact, the
+    cumulative rows add the components one at a time in the order ``cumsum``
+    does, counting the rows below ``u`` gives the same count, and
+    ``_pairwise_rows`` adds the normaliser's H terms in the order numpy's
+    pairwise ``sum`` uses for a contiguous row. Keeping that summation order,
+    and the one ``rng.random(n)`` call, keeps ``draws.npz`` byte-identical.
+    """
     r = np.asarray(centered_residuals)
     with np.errstate(divide="ignore"):
-        logw = np.log(state.pi)[None, :]
-    logw = logw - (r[:, None] - state.tau[None, :]) ** 2 / (2.0 * state.sigma_sq)
-    logw -= logw.max(axis=1, keepdims=True)
-    w = np.exp(logw)
-    w /= w.sum(axis=1, keepdims=True)
+        logpi = np.log(state.pi)[:, None]
+    d = np.subtract(r[None, :], state.tau[:, None])
+    np.square(d, out=d)
+    d /= 2.0 * state.sigma_sq
+    np.subtract(logpi, d, out=d)
+    d -= d.max(axis=0)
+    np.exp(d, out=d)
+    d /= _pairwise_rows(d)
     u = rng.random(r.shape[0])
-    state.S = (u[:, None] > np.cumsum(w, axis=1)).sum(axis=1).astype(np.int32)
-    np.clip(state.S, 0, state.H - 1, out=state.S)
-    state.n_h = np.bincount(state.S, minlength=state.H)
+    for h in range(1, state.H):
+        np.add(d[h - 1], d[h], out=d[h])
+    S = np.greater(u, d).sum(axis=0, dtype=np.int32)
+    np.clip(S, 0, state.H - 1, out=S)
+    state.S = S
+    state.n_h = np.bincount(S, minlength=state.H)
     return state
+
+
+def _pairwise_rows(w: np.ndarray) -> np.ndarray:
+    """Column sums of ``w`` (k, n), adding the k terms of each column in the
+    order numpy's pairwise summation adds a contiguous length-k row: left to
+    right below 8 terms; up to 128 terms, eight running sums over the first
+    ``k - k % 8`` terms combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    then the rest; above 128, the two halves split at a multiple of 8."""
+    k = w.shape[0]
+    if k < 8:
+        res = w[0].copy()
+        for row in w[1:]:
+            res += row
+        return res
+    if k <= 128:
+        r = w[:8].copy()
+        stop = k - k % 8
+        for i in range(8, stop, 8):
+            r += w[i:i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        res = r[0] + r[1]
+        for row in w[stop:]:
+            res += row
+        return res
+    half = k // 2 - (k // 2) % 8
+    return _pairwise_rows(w[:half]) + _pairwise_rows(w[half:])
 
 
 def update_stick_weights(state: CdpState, rng: np.random.Generator) -> CdpState:

@@ -26,3 +26,13 @@ def test_pdp_with_corrupt_forests_file_exits_with_input_error(run_dir):
                                        "--out", str(run_dir / "pdp"), "--covariate", "x0"])
     assert result.exit_code == EXIT_INPUT == 2
     assert FORESTS_FILE in result.output
+
+
+def test_summarize_with_truncated_draws_file_exits_with_input_error(run_dir):
+    draws = run_dir / DRAWS_FILE
+    data = draws.read_bytes()
+    draws.write_bytes(data[:len(data) // 2])
+    result = CliRunner().invoke(main, ["summarize", str(run_dir),
+                                       "--out", str(run_dir / "summary")])
+    assert result.exit_code == EXIT_INPUT == 2
+    assert DRAWS_FILE in result.output

@@ -602,16 +602,19 @@ class TestPackedForest:
     def test_route_yields_every_leaf_once(self, rng):
         ws = mixed_workspace(rng)
         forest = TestMovePath.grown_forest(rng, ws)
-        probes = rng.standard_normal((25, ws.p))
-        cols = list(probes.T)
-        for t in forest.trees:
-            for node in [0] + t.internal_ids:
-                got = list(route(t.var, t.cut, t.left, t.right, cols, np.arange(25), node))
-                assert sorted(leaf for leaf, _ in got) == sorted(t.leaves_under(node))
-                rows = np.sort(np.concatenate([rr for _, rr in got]))
-                assert np.array_equal(rows, np.arange(25))
-                for leaf, rr in got:
-                    assert all(walk_from(t, node, probes[i]) == leaf for i in rr)
+        assert any(t.internal_ids for t in forest.trees)
+        for n in (25, 600):
+            probes = rng.standard_normal((n, ws.p))
+            cols = list(probes.T)
+            for t in forest.trees:
+                for node in [0] + t.internal_ids:
+                    got = list(route(t.var, t.cut, t.left, t.right, cols, np.arange(n), node))
+                    assert sorted(leaf for leaf, _ in got) == sorted(t.leaves_under(node))
+                    rows = np.sort(np.concatenate([rr for _, rr in got]))
+                    assert np.array_equal(rows, np.arange(n))
+                    for leaf, rr in got:
+                        assert np.all(np.diff(rr) > 0)
+                        assert all(walk_from(t, node, probes[i]) == leaf for i in rr)
 
 
 class TestPriorValidation:

@@ -6,12 +6,12 @@ from scipy.stats import chi2, kstest, norm
 
 from npaft import CdpHyper, ConfigError, NumericError, calibrate_scale, \
     residual_density, sample_truncnorm_lower
-from npaft.mixture import (CdpState, _weights_from_sticks, dp_dispersion_draws,
-                           impute_censored, init_state, mass_posterior_params,
-                           scale_posterior_params, simulate_residual_variance,
-                           update_cluster_labels, update_cluster_locations,
-                           update_mass_and_scale, update_stick_weights,
-                           variance_factor_draws)
+from npaft.mixture import (CdpState, _pairwise_rows, _weights_from_sticks,
+                           dp_dispersion_draws, impute_censored, init_state,
+                           mass_posterior_params, scale_posterior_params,
+                           simulate_residual_variance, update_cluster_labels,
+                           update_cluster_locations, update_mass_and_scale,
+                           update_stick_weights, variance_factor_draws)
 
 
 def make_state(pi, tau, sigma_sq=1.0, M=1.0, S=None, n=0):
@@ -186,6 +186,51 @@ class TestLabels:
         state = make_state([0.5, 0.5], [0.0, 1.0], sigma_sq=1e-6, n=2)
         update_cluster_labels(state, np.array([1e4, -1e4]), rng)
         assert np.all((state.S >= 0) & (state.S < 2))
+
+    @staticmethod
+    def dense_labels(pi, tau, sigma_sq, r, rng):
+        """Row-major (n, H) formula the component-major kernel must match."""
+        with np.errstate(divide="ignore"):
+            logw = np.log(pi)[None, :]
+        logw = logw - (r[:, None] - tau[None, :]) ** 2 / (2.0 * sigma_sq)
+        logw -= logw.max(axis=1, keepdims=True)
+        w = np.exp(logw)
+        w /= w.sum(axis=1, keepdims=True)
+        u = rng.random(r.shape[0])
+        S = (u[:, None] > np.cumsum(w, axis=1)).sum(axis=1).astype(np.int32)
+        np.clip(S, 0, pi.shape[0] - 1, out=S)
+        return S, np.bincount(S, minlength=pi.shape[0])
+
+    @pytest.mark.parametrize("H", [2, 7, 8, 9, 16, 50, 129, 200])
+    @pytest.mark.parametrize("n", [1, 3, 2000])
+    def test_matches_dense_oracle_bit_for_bit(self, H, n):
+        gen = np.random.default_rng(1000 * H + n)
+        # the normaliser alone: a one-ulp change rarely flips a label
+        w = gen.random((n, H))
+        w[gen.random((n, H)) < 0.3] = 0.0
+        np.testing.assert_array_equal(_pairwise_rows(np.ascontiguousarray(w.T)),
+                                      w.sum(axis=1))
+        cases = []
+        for zeros in (False, True):
+            pi = gen.dirichlet(np.full(H, 0.5))
+            if zeros:
+                pi[gen.random(H) < 0.4] = 0.0
+                pi[gen.integers(H)] = 0.5
+                pi /= pi.sum()
+            cases.append((pi, gen.normal(0, 1, H), gen.uniform(0.05, 2.0),
+                          gen.normal(0, 1.5, n)))
+        extreme = np.where(np.arange(n) % 2 == 0, 1e4, -1e4)
+        cases.append((cases[1][0], cases[1][1], 1e-6, extreme))
+        for pi, tau, sigma_sq, r in cases:
+            seed = int(gen.integers(2**32))
+            oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            S, n_h = self.dense_labels(pi, tau, sigma_sq, r, oracle_rng)
+            state = make_state(pi, tau.copy(), sigma_sq=sigma_sq, n=n)
+            update_cluster_labels(state, r, rng)
+            assert state.S.dtype == np.int32
+            np.testing.assert_array_equal(state.S, S)
+            np.testing.assert_array_equal(state.n_h, n_h)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestLocations:
