@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 numeric failure, 4 config error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -113,40 +114,42 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-_HYPER_KEYS = {"psi1", "psi2", "nu", "q", "H"}
-_PRIOR_KEYS = {"alpha", "beta", "n_trees", "k"}
-_FIT_KEYS = {"iterations", "burn_in", "thin", "chains", "seed", "keep_forests",
-             "max_split_points", "calibration_draws", "memory_budget_mb",
-             "hyper", "prior"}
+# dataclass fields set from the data, by calibration or by the machine, never from YAML
+_NOT_FROM_YAML = frozenset({"sigma_tau_sq", "zeta", "grids", "spill_dir"})
+
+
+def _yaml_keys(cls) -> set[str]:
+    """The keys a YAML mapping may give for the dataclass ``cls``."""
+    return {f.name for f in dataclasses.fields(cls)} - _NOT_FROM_YAML
+
+
+def _from_yaml(cls, doc: dict, what: str, **resolved):
+    """Build ``cls`` from a YAML mapping, rejecting keys that are not its
+    settable fields; ``resolved`` overrides the mapping's values."""
+    unknown = set(doc) - _yaml_keys(cls)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    try:
+        return cls(**{**doc, **resolved})
+    except TypeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _seed(seed: int | None, doc: dict) -> int:
+    """The flag's seed, else the config's."""
+    seed = doc.get("seed") if seed is None else seed
+    if seed is None:
+        raise ConfigError("a seed is required (flag --seed or config key 'seed')")
+    return int(seed)
 
 
 def _fit_config_from(doc: dict, seed: int | None, keep_forests: bool | None) -> FitConfig:
-    unknown = set(doc) - _FIT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown fit config keys: {sorted(unknown)}")
-    hyper_doc = doc.get("hyper", {})
-    bad = set(hyper_doc) - _HYPER_KEYS
-    if bad:
-        raise ConfigError(f"unknown hyper keys: {sorted(bad)}")
-    prior_doc = doc.get("prior", {})
-    bad = set(prior_doc) - _PRIOR_KEYS
-    if bad:
-        raise ConfigError(f"unknown prior keys: {sorted(bad)}")
-    if seed is None:
-        seed = doc.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (flag --seed or config key 'seed')")
-    kwargs = {k: doc[k] for k in
-              ("iterations", "burn_in", "thin", "chains", "max_split_points",
-               "calibration_draws", "memory_budget_mb") if k in doc}
-    if keep_forests is None:
-        keep_forests = bool(doc.get("keep_forests", False))
-    try:
-        return FitConfig(seed=int(seed), hyper=CdpHyper(**hyper_doc),
-                         prior=ForestPrior(**prior_doc),
-                         keep_forests=keep_forests, **kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    resolved = {"seed": _seed(seed, doc),
+                "hyper": _from_yaml(CdpHyper, doc.get("hyper", {}), "hyper"),
+                "prior": _from_yaml(ForestPrior, doc.get("prior", {}), "prior")}
+    if keep_forests is not None:
+        resolved["keep_forests"] = keep_forests
+    return _from_yaml(FitConfig, doc, "fit config", **resolved)
 
 
 @click.group()
@@ -374,30 +377,14 @@ def cmd_pdp(draws_dir, data_path, schema_path, out_path, covariate, grid_spec,
     click.echo(f"wrote partial dependence for {covariate!r}")
 
 
-_FAMILY_KEYS = {"tag", "variance", "gamma_shape", "t_df", "t_tail_weight"}
-_SCENARIO_KEYS = {"kind", "n", "family", "censoring", "name", "coefs",
-                  "interaction_coefs", "weibull_shape", "weibull_scale", "p"}
-
-
 def _scenario_from(doc: dict) -> SimScenario:
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-    fam_doc = dict(doc.get("family", {"tag": "normal"}))
-    bad = set(fam_doc) - _FAMILY_KEYS
-    if bad:
-        raise ConfigError(f"unknown family keys: {sorted(bad)}")
-    family = ResidualFamily(**fam_doc)
-    kwargs = {k: doc[k] for k in
-              ("censoring", "name", "weibull_shape", "weibull_scale", "p") if k in doc}
-    if "coefs" in doc:
-        kwargs["coefs"] = tuple(doc["coefs"])
-    if doc.get("interaction_coefs") is not None:
-        kwargs["interaction_coefs"] = tuple(doc["interaction_coefs"])
-    try:
-        return SimScenario(kind=doc["kind"], n=int(doc["n"]), family=family, **kwargs)
-    except KeyError as exc:
-        raise ConfigError(f"scenario missing key {exc}") from None
+    resolved = {k: tuple(doc[k]) for k in ("coefs", "interaction_coefs")
+                if doc.get(k) is not None}
+    if "n" in doc:
+        resolved["n"] = int(doc["n"])
+    resolved["family"] = _from_yaml(ResidualFamily, doc.get("family", {"tag": "normal"}),
+                                    "family")
+    return _from_yaml(SimScenario, doc, "scenario", **resolved)
 
 
 @main.command("simulate")
@@ -409,10 +396,7 @@ def _scenario_from(doc: dict) -> SimScenario:
 def cmd_simulate(config_path, out_path, seed, workers):
     """Run generative benchmarks and write per-replication metrics."""
     doc = _load_yaml(config_path)
-    if seed is None:
-        seed = doc.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (flag --seed or config key 'seed')")
+    seed = _seed(seed, doc)
     scenarios = [_scenario_from(s) for s in doc.get("scenarios", [])]
     if not scenarios:
         raise ConfigError("config declares no scenarios")
@@ -422,8 +406,8 @@ def cmd_simulate(config_path, out_path, seed, workers):
     manifest = _Manifest("simulate", out,
                          {"scenarios": doc.get("scenarios"), "reps": reps,
                           "fit": doc.get("fit", {})},
-                         int(seed), {"config": config_path})
-    rows = run_benchmark(scenarios, reps, fit_config, int(seed), workers)
+                         seed, {"config": config_path})
+    rows = run_benchmark(scenarios, reps, fit_config, seed, workers)
     header = ["scenario", "kind", "n", "censoring", "family", "rep", "rmse",
               "mcprop", "coverage", "pct_strong", "pct_mild", "censored_fraction"]
     _write_csv(out / "benchmark.csv", header,
@@ -448,38 +432,32 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
     from .bench import cross_validation_score
 
     doc = _load_yaml(config_path)
-    if seed is None:
-        seed = doc.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (flag --seed or config key 'seed')")
+    seed = _seed(seed, doc)
+    base = doc.get("fit", {})
+    # a setting or grid axis that is absent keeps the fit block's value
+    base_config = _fit_config_from(base, seed, keep_forests=True)
+    hyper, prior = base_config.hyper, base_config.prior
     settings = doc.get("settings")
     if settings is None:
-        grid_doc = doc.get("grid", {"q": [0.5], "k": [2.0], "n_trees": [200]})
+        grid_doc = doc.get("grid", {})
         settings = [{"q": q, "k": k, "n_trees": J}
-                    for q in grid_doc.get("q", [0.5])
-                    for k in grid_doc.get("k", [2.0])
-                    for J in grid_doc.get("n_trees", [200])]
-    base = doc.get("fit", {})
+                    for q in grid_doc.get("q", [hyper.q])
+                    for k in grid_doc.get("k", [prior.k])
+                    for J in grid_doc.get("n_trees", [prior.n_trees])]
     schema = CovariateSchema.from_yaml(schema_path)
     data = load_dataset(data_path, schema, delimiter)
     out = _out_dir(out_path)
     manifest = _Manifest("crossval", out,
                          {"folds": folds, "settings": settings, "fit": base},
-                         int(seed), {"data": data_path, "schema": schema_path})
+                         seed, {"data": data_path, "schema": schema_path})
     rows = []
     for s_i, setting in enumerate(settings):
-        fit_doc = dict(base)
-        hyper_doc = dict(fit_doc.get("hyper", {}))
-        prior_doc = dict(fit_doc.get("prior", {}))
-        if "q" in setting:
-            hyper_doc["q"] = float(setting["q"])
-        if "k" in setting:
-            prior_doc["k"] = float(setting["k"])
-        if "n_trees" in setting:
-            prior_doc["n_trees"] = int(setting["n_trees"])
-        fit_doc["hyper"] = hyper_doc
-        fit_doc["prior"] = prior_doc
-        config = _fit_config_from(fit_doc, seed=int(seed) + s_i, keep_forests=True)
+        config = dataclasses.replace(
+            base_config, seed=seed + s_i,
+            hyper=dataclasses.replace(hyper, q=float(setting.get("q", hyper.q))),
+            prior=dataclasses.replace(prior, k=float(setting.get("k", prior.k)),
+                                      n_trees=int(setting.get("n_trees", prior.n_trees))))
+        used = [config.hyper.q, config.prior.k, config.prior.n_trees]
 
         def fit_fn(train, _config=config):
             draws = fit(train, _config)
@@ -496,13 +474,10 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
             return predictor
 
         # identical fold split for every setting so scores are comparable
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         fold_scores, mean_score = cross_validation_score(data, folds, fit_fn, rng)
-        for f_i, score in enumerate(fold_scores):
-            rows.append([s_i, setting.get("q"), setting.get("k"),
-                         setting.get("n_trees"), f_i, score])
-        rows.append([s_i, setting.get("q"), setting.get("k"),
-                     setting.get("n_trees"), "mean", mean_score])
+        rows += [[s_i, *used, f_i, score] for f_i, score in enumerate(fold_scores)]
+        rows.append([s_i, *used, "mean", mean_score])
     _write_csv(out / "cv.csv", ["setting", "q", "k", "n_trees", "fold", "cv_abs"], rows)
     manifest.finish()
     click.echo(f"wrote cross-validation scores for {len(settings)} settings")
@@ -511,11 +486,12 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
 @main.command("calibrate")
 @click.option("--sigma-w", type=float, required=True,
               help="Rough residual scale estimate.")
-@click.option("--q", type=float, default=0.5, show_default=True)
-@click.option("--nu", type=float, default=3.0, show_default=True)
-@click.option("--psi1", type=float, default=2.0, show_default=True)
-@click.option("--psi2", type=float, default=0.1, show_default=True)
-@click.option("--draws", "n_draws", type=int, default=1_000_000, show_default=True)
+@click.option("--q", type=float, default=CdpHyper.q, show_default=True)
+@click.option("--nu", type=float, default=CdpHyper.nu, show_default=True)
+@click.option("--psi1", type=float, default=CdpHyper.psi1, show_default=True)
+@click.option("--psi2", type=float, default=CdpHyper.psi2, show_default=True)
+@click.option("--draws", "n_draws", type=int, default=FitConfig.calibration_draws,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_guarded

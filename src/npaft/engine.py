@@ -28,7 +28,7 @@ import tempfile
 import threading
 import warnings
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing.pool import ExceptionWithTraceback
 from pathlib import Path
 
@@ -38,12 +38,12 @@ from .data import EncodedDataset, ResponseTransform, fit_intercept_lognormal_aft
     split_point_grid, transform_responses
 from .errors import ConfigError, DataError, NumericError
 from .forest import Forest, ForestPrior, PackedForest, TreeWorkspace, backfit_sweep, \
-    pack_forest, MOVE_GROW, MOVE_PRUNE, MOVE_CHANGE, MOVE_SWAP
+    pack_forest, MOVE_PROBS
 from .mixture import CdpHyper, calibrate_scale, impute_censored, init_state, \
     update_cluster_labels, update_cluster_locations, update_mass_and_scale, \
     update_stick_weights
 
-MOVE_ORDER = (MOVE_GROW, MOVE_PRUNE, MOVE_CHANGE, MOVE_SWAP)
+MOVE_ORDER = tuple(MOVE_PROBS)
 DRAWS_SCHEMA_VERSION = 1
 FORESTS_SCHEMA_VERSION = 2
 _FOREST_FIELDS = ("var", "cut", "left", "right", "value")
@@ -89,22 +89,33 @@ class FitConfig:
         return doc
 
 
+def _column(about: str, dtype, *shape):
+    """A draws-file column: its header description, its dtype and its shape
+    per draw, where ``"n"`` stands for the patient count and ``"H"`` for the
+    truncation level. Columns are written in the order they are declared."""
+    return field(metadata={"about": about, "dtype": np.dtype(dtype), "shape": shape})
+
+
 @dataclass
 class PosteriorDraws:
-    """Retained samples plus diagnostics; the substrate for every summary."""
+    """Retained samples plus diagnostics; the substrate for every summary.
+    Each column holds one row per retained draw."""
 
-    m0: np.ndarray           # (D, n) control-arm fits, original log-time scale
-    m1: np.ndarray           # (D, n) treated-arm fits
-    pi: np.ndarray           # (D, H) mixture weights
-    tau: np.ndarray          # (D, H) centered atoms
-    sigma: np.ndarray        # (D,) kernel scale
-    M: np.ndarray            # (D,) mass parameter
-    chain_id: np.ndarray     # (D,)
-    iteration: np.ndarray    # (D,) 1-based iteration index within the chain
-    occupied: np.ndarray     # (D,) occupied-cluster count
-    max_index: np.ndarray    # (D,) 1-based maximum occupied component index
-    acc_proposed: np.ndarray  # (D, 4) per-sweep proposal counts (grow/prune/change/swap)
-    acc_accepted: np.ndarray  # (D, 4)
+    # fits on the original log-time scale
+    m0: np.ndarray = _column("control-arm fit per patient", np.float64, "n")
+    m1: np.ndarray = _column("treated-arm fit per patient", np.float64, "n")
+    pi: np.ndarray = _column("mixture weights", np.float64, "H")
+    tau: np.ndarray = _column("centered atoms", np.float64, "H")
+    sigma: np.ndarray = _column("kernel scale", np.float64)
+    M: np.ndarray = _column("mass parameter", np.float64)
+    chain_id: np.ndarray = _column("chain", np.int16)
+    iteration: np.ndarray = _column("iteration", np.int32)  # 1-based, within the chain
+    occupied: np.ndarray = _column("occupied clusters", np.int32)
+    max_index: np.ndarray = _column("max occupied index", np.int32)  # 1-based
+    acc_proposed: np.ndarray = _column("per-sweep proposals " + "/".join(MOVE_ORDER),
+                                       np.int32, len(MOVE_ORDER))
+    acc_accepted: np.ndarray = _column("per-sweep acceptances " + "/".join(MOVE_ORDER),
+                                       np.int32, len(MOVE_ORDER))
     transform: ResponseTransform
     config: dict
     sigma_tau_sq: float
@@ -136,23 +147,12 @@ class PosteriorDraws:
             "mu_aft": self.transform.mu_aft,
             "sigma_aft": self.transform.sigma_aft,
             "sigma_tau_sq": self.sigma_tau_sq,
-            "columns": {
-                "m0": "control-arm fit per patient", "m1": "treated-arm fit per patient",
-                "pi": "mixture weights", "tau": "centered atoms", "sigma": "kernel scale",
-                "M": "mass parameter", "chain_id": "chain", "iteration": "iteration",
-                "occupied": "occupied clusters", "max_index": "max occupied index",
-                "acc_proposed": "per-sweep proposals " + "/".join(MOVE_ORDER),
-                "acc_accepted": "per-sweep acceptances " + "/".join(MOVE_ORDER),
-            },
+            "columns": {c.name: c.metadata["about"] for c in _COLUMNS},
         }
         def write(fh):
             np.savez(fh, header=np.frombuffer(
                 json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-                m0=np.asarray(self.m0), m1=np.asarray(self.m1), pi=self.pi,
-                tau=self.tau, sigma=self.sigma, M=self.M, chain_id=self.chain_id,
-                iteration=self.iteration, occupied=self.occupied,
-                max_index=self.max_index, acc_proposed=self.acc_proposed,
-                acc_accepted=self.acc_accepted)
+                **{c.name: np.asarray(getattr(self, c.name)) for c in _COLUMNS})
 
         if hasattr(path, "write"):
             write(path)
@@ -166,11 +166,7 @@ class PosteriorDraws:
             header = json.loads(bytes(z["header"]).decode())
             if header.get("schema_version") != DRAWS_SCHEMA_VERSION:
                 raise DataError(f"unsupported draw-file schema: {header.get('schema_version')}")
-            return cls(m0=z["m0"], m1=z["m1"], pi=z["pi"], tau=z["tau"],
-                       sigma=z["sigma"], M=z["M"], chain_id=z["chain_id"],
-                       iteration=z["iteration"], occupied=z["occupied"],
-                       max_index=z["max_index"], acc_proposed=z["acc_proposed"],
-                       acc_accepted=z["acc_accepted"],
+            return cls(**{c.name: z[c.name] for c in _COLUMNS},
                        transform=ResponseTransform(header["mu_aft"], header["sigma_aft"]),
                        config=header["config"], sigma_tau_sq=header["sigma_tau_sq"])
 
@@ -217,6 +213,9 @@ class PosteriorDraws:
         self.forests = forests
 
 
+_COLUMNS = tuple(f for f in fields(PosteriorDraws) if "about" in f.metadata)
+
+
 def _build_grids(U: np.ndarray, max_points: int) -> list[np.ndarray]:
     return [split_point_grid(U[:, k], max_points) for k in range(U.shape[1])]
 
@@ -230,35 +229,22 @@ def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buf, dtype, count).reshape(shape)
 
 
-class _DrawStore:
-    """Columnar draw buffers in memory shared with forked chain workers; the
-    large ones are spilled to disk-backed memmaps when over the memory budget."""
-
-    def __init__(self, total: int, n: int, H: int, budget_mb: float,
-                 spill_dir: str | None):
-        big_bytes = 8 * total * (2 * n + 2 * H)
-        self.tmpdir = None
-        if big_bytes > budget_mb * 2 ** 20:
-            self.tmpdir = tempfile.TemporaryDirectory(dir=spill_dir, prefix="npaft-spill-")
-            base = Path(self.tmpdir.name)
-            def make(name, shape):
-                return np.lib.format.open_memmap(base / f"{name}.npy", mode="w+",
-                                                 dtype=np.float64, shape=shape)
-        else:
-            def make(name, shape):
-                return _shared(shape)
-        self.m0 = make("m0", (total, n))
-        self.m1 = make("m1", (total, n))
-        self.pi = make("pi", (total, H))
-        self.tau = make("tau", (total, H))
-        self.sigma = _shared((total,))
-        self.M = _shared((total,))
-        self.chain_id = _shared((total,), np.int16)
-        self.iteration = _shared((total,), np.int32)
-        self.occupied = _shared((total,), np.int32)
-        self.max_index = _shared((total,), np.int32)
-        self.acc_proposed = _shared((total, 4), np.int32)
-        self.acc_accepted = _shared((total, 4), np.int32)
+def _draw_store(total: int, n: int, H: int, budget_mb: float, spill_dir: str | None
+                ) -> tuple[dict[str, np.ndarray], tempfile.TemporaryDirectory | None]:
+    """Zeroed draw columns by name, in memory shared with forked chain
+    workers, or in disk-backed memmaps when together they exceed the memory
+    budget. The spill directory is returned too (None when nothing spilled)
+    and must outlive the columns."""
+    sizes = {"n": n, "H": H}
+    specs = [(c.name, (total, *(sizes.get(s, s) for s in c.metadata["shape"])),
+              c.metadata["dtype"]) for c in _COLUMNS]
+    nbytes = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in specs)
+    if nbytes <= budget_mb * 2 ** 20:
+        return {name: _shared(shape, dtype) for name, shape, dtype in specs}, None
+    tmpdir = tempfile.TemporaryDirectory(dir=spill_dir, prefix="npaft-spill-")
+    return {name: np.lib.format.open_memmap(Path(tmpdir.name) / f"{name}.npy", mode="w+",
+                                            dtype=dtype, shape=shape)
+            for name, shape, dtype in specs}, tmpdir
 
 
 def _check_finite(iteration: int, **named) -> None:
@@ -280,7 +266,7 @@ class _ChainJob:
     delta: np.ndarray
     log_y_tr: np.ndarray          # transformed log responses; censored rows at their bound
     seqs: list[np.random.SeedSequence]  # one per chain
-    store: _DrawStore
+    store: dict[str, np.ndarray]  # the draw columns, see ``_draw_store``
 
 
 def _run_chain(job: _ChainJob, chain: int,
@@ -337,21 +323,21 @@ def _run_chain(job: _ChainJob, chain: int,
             state.check_invariants()
             m_obs = forest.m_total
             m_flip = forest.counterfactual_total(flipped_arm)
-            store.m1[d_idx] = np.where(arm_is_treated, m_obs, m_flip) + transform.mu_aft
-            store.m0[d_idx] = np.where(arm_is_treated, m_flip, m_obs) + transform.mu_aft
-            store.pi[d_idx] = state.pi
-            store.tau[d_idx] = state.tau
-            store.sigma[d_idx] = state.sigma
-            store.M[d_idx] = state.M
-            store.chain_id[d_idx] = chain
-            store.iteration[d_idx] = t
-            store.occupied[d_idx] = state.occupied
-            store.max_index[d_idx] = state.max_occupied_index
+            store["m1"][d_idx] = np.where(arm_is_treated, m_obs, m_flip) + transform.mu_aft
+            store["m0"][d_idx] = np.where(arm_is_treated, m_flip, m_obs) + transform.mu_aft
+            store["pi"][d_idx] = state.pi
+            store["tau"][d_idx] = state.tau
+            store["sigma"][d_idx] = state.sigma
+            store["M"][d_idx] = state.M
+            store["chain_id"][d_idx] = chain
+            store["iteration"][d_idx] = t
+            store["occupied"][d_idx] = state.occupied
+            store["max_index"][d_idx] = state.max_occupied_index
             for mi, mv in enumerate(MOVE_ORDER):
                 after = forest.move_stats.get(mv, [0, 0])
                 before = stats_before.get(mv, [0, 0])
-                store.acc_proposed[d_idx, mi] = after[0] - before[0]
-                store.acc_accepted[d_idx, mi] = after[1] - before[1]
+                store["acc_proposed"][d_idx, mi] = after[0] - before[0]
+                store["acc_accepted"][d_idx, mi] = after[1] - before[1]
             if forests is not None:
                 forests.append(pack_forest(forest))
             d_idx += 1
@@ -446,14 +432,13 @@ def fit(data: EncodedDataset, config: FitConfig,
     if hyper.sigma_tau_sq is None:
         st2 = calibrate_scale(transform.sigma_aft, hyper,
                               config.calibration_draws, rng_cal)
-        hyper = CdpHyper(psi1=hyper.psi1, psi2=hyper.psi2, nu=hyper.nu,
-                         q=hyper.q, H=hyper.H, sigma_tau_sq=st2)
+        hyper = replace(hyper, sigma_tau_sq=st2)
 
     U = np.column_stack([data_tr.a.astype(float), data_tr.X])
     grids = _build_grids(U, config.max_split_points)
     prior = config.prior.resolved(zeta=4.0 * transform.sigma_aft, grids=grids)
-    store = _DrawStore(config.chains * config.draws_per_chain, data_tr.n, hyper.H,
-                       config.memory_budget_mb, config.spill_dir)
+    store, spill = _draw_store(config.chains * config.draws_per_chain, data_tr.n, hyper.H,
+                               config.memory_budget_mb, config.spill_dir)
     job = _ChainJob(config=config, hyper=hyper, prior=prior, transform=transform,
                     U=U, grids=grids, delta=data_tr.delta, log_y_tr=np.log(data_tr.y),
                     seqs=seqs[1:], store=store)
@@ -467,14 +452,9 @@ def fit(data: EncodedDataset, config: FitConfig,
 
     forests = [pf for chain_forests, _ in results for pf in chain_forests] \
         if config.keep_forests else None
-    draws = PosteriorDraws(
-        m0=store.m0, m1=store.m1, pi=store.pi, tau=store.tau, sigma=store.sigma,
-        M=store.M, chain_id=store.chain_id, iteration=store.iteration,
-        occupied=store.occupied, max_index=store.max_index,
-        acc_proposed=store.acc_proposed, acc_accepted=store.acc_accepted,
-        transform=transform, config=config.to_jsonable(),
-        sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
-    draws._spill = store.tmpdir  # keep any spill files alive with the draws
+    draws = PosteriorDraws(**store, transform=transform, config=config.to_jsonable(),
+                           sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
+    draws._spill = spill  # keep any spill files alive with the draws
     return draws
 
 

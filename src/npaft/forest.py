@@ -37,7 +37,7 @@ from .errors import ConfigError, DataError
 # proposal mixture (grow, prune, change, swap)
 MOVE_GROW, MOVE_PRUNE, MOVE_CHANGE, MOVE_SWAP = "grow", "prune", "change", "swap"
 MOVE_PROBS = {MOVE_GROW: 0.25, MOVE_PRUNE: 0.25, MOVE_CHANGE: 0.40, MOVE_SWAP: 0.10}
-_MOVE_EDGES = (0.25, 0.50, 0.90)  # cumulative, swap takes the rest
+_MOVE_EDGES = tuple(itertools.accumulate(MOVE_PROBS.values()))[:-1]  # swap takes the rest
 
 
 @dataclass

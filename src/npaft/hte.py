@@ -107,16 +107,19 @@ def default_bandwidth(draws: IteDraws) -> float:
     """0.9 * min(sigma, IQR/1.34) * n^(-1/5), from posterior means of the
     per-draw effect spread across patients.
 
-    When that scale is 0 (effects with no interquartile spread), it falls
-    back as R's ``bw.nrd0`` does: to sigma, then to the absolute first
-    effect, then to 1.
+    When that scale is negligible (below 1e-8 times the range of all effect
+    draws, so rounding noise counts as no spread), it falls back as R's
+    ``bw.nrd0`` does: to sigma, then to the absolute first effect, then to
+    1, each taken only if it is not negligible itself.
     """
     theta = draws.values
     sd = float(theta.std(axis=1, ddof=1).mean())
     q75, q25 = np.percentile(theta, [75, 25], axis=1)
     iqr = float((q75 - q25).mean())
     n = theta.shape[1]
-    scale = min(sd, iqr / 1.34) or sd or abs(float(theta[0, 0])) or 1.0
+    negligible = 1e-8 * float(np.ptp(theta))
+    scale = next((s for s in (min(sd, iqr / 1.34), sd, abs(float(theta[0, 0])))
+                  if s > negligible), 1.0)
     return 0.9 * scale * n ** (-0.2)
 
 

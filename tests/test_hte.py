@@ -41,3 +41,21 @@ class TestDefaultBandwidth:
         assert dist.bandwidth == pytest.approx(0.9 * 4 ** -0.2, rel=1e-14)
         assert np.array_equal(dist.cdf, [0.0, 0.0, 1.0, 1.0, 1.0])
         assert np.all(np.isfinite(dist.density)) and dist.density[2] > 0
+
+    def test_rounding_noise_iqr_falls_back_to_sd(self):
+        # Most draws give every patient the same effect up to one ulp, so
+        # their IQR is rounding noise; two draws spread three patients
+        # across -0.012..0.026, which leaves their IQR 0 but their sd real.
+        theta = np.full((20, 40), 0.01)
+        theta[:18, 20:] = np.nextafter(0.01, 1.0)
+        theta[18:, :3] = [-0.012, 0.026, 0.02]
+        iqr = np.subtract(*np.percentile(theta, [75, 25], axis=1)).mean()
+        assert 0 < iqr < 1e-17
+        sd = theta.std(axis=1, ddof=1).mean()
+        assert bandwidth(theta) == pytest.approx(0.9 * sd * 40 ** -0.2, rel=1e-14)
+
+    def test_rounding_noise_sd_falls_back_to_first_effect(self):
+        theta = np.full((4, 10), -0.3)
+        theta[:, 5:] = np.nextafter(-0.3, 0.0)
+        theta[3] = 0.7
+        assert bandwidth(theta) == pytest.approx(0.9 * 0.3 * 10 ** -0.2, rel=1e-14)
