@@ -75,10 +75,7 @@ def _load_yaml(path: str | None) -> dict:
     if not p.exists():
         raise DataError(f"config not found: {p}")
     with open(p, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: config must be a mapping")
-    return doc
+        return _mapping(yaml.safe_load(fh), f"config {p}")
 
 
 class _Manifest:
@@ -123,12 +120,26 @@ def _yaml_keys(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)} - _NOT_FROM_YAML
 
 
-def _from_yaml(cls, doc: dict, what: str, **resolved):
-    """Build ``cls`` from a YAML mapping, rejecting keys that are not its
-    settable fields; ``resolved`` overrides the mapping's values."""
-    unknown = set(doc) - _yaml_keys(cls)
+def _mapping(doc, what: str) -> dict:
+    """A YAML level as a mapping; a level left empty (null) reads as ``{}``."""
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a mapping, got {type(doc).__name__}")
+    return doc
+
+
+def _reject_unknown(doc: dict, allowed, what: str) -> None:
+    unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _from_yaml(cls, doc, what: str, **resolved):
+    """Build ``cls`` from a YAML mapping, rejecting keys that are not its
+    settable fields; ``resolved`` overrides the mapping's values."""
+    doc = _mapping(doc, what)
+    _reject_unknown(doc, _yaml_keys(cls), what)
     try:
         return cls(**{**doc, **resolved})
     except TypeError as exc:
@@ -143,10 +154,11 @@ def _seed(seed: int | None, doc: dict) -> int:
     return int(seed)
 
 
-def _fit_config_from(doc: dict, seed: int | None, keep_forests: bool | None) -> FitConfig:
+def _fit_config_from(doc, seed: int | None, keep_forests: bool | None) -> FitConfig:
+    doc = _mapping(doc, "fit config")
     resolved = {"seed": _seed(seed, doc),
-                "hyper": _from_yaml(CdpHyper, doc.get("hyper", {}), "hyper"),
-                "prior": _from_yaml(ForestPrior, doc.get("prior", {}), "prior")}
+                "hyper": _from_yaml(CdpHyper, doc.get("hyper"), "hyper"),
+                "prior": _from_yaml(ForestPrior, doc.get("prior"), "prior")}
     if keep_forests is not None:
         resolved["keep_forests"] = keep_forests
     return _from_yaml(FitConfig, doc, "fit config", **resolved)
@@ -377,7 +389,8 @@ def cmd_pdp(draws_dir, data_path, schema_path, out_path, covariate, grid_spec,
     click.echo(f"wrote partial dependence for {covariate!r}")
 
 
-def _scenario_from(doc: dict) -> SimScenario:
+def _scenario_from(doc) -> SimScenario:
+    doc = _mapping(doc, "scenario")
     resolved = {k: tuple(doc[k]) for k in ("coefs", "interaction_coefs")
                 if doc.get(k) is not None}
     if "n" in doc:
@@ -397,15 +410,17 @@ def cmd_simulate(config_path, out_path, seed, workers):
     """Run generative benchmarks and write per-replication metrics."""
     doc = _load_yaml(config_path)
     seed = _seed(seed, doc)
-    scenarios = [_scenario_from(s) for s in doc.get("scenarios", [])]
+    _reject_unknown(doc, ("seed", "scenarios", "reps", "fit"), "simulate config")
+    scenarios = [_scenario_from(s) for s in doc.get("scenarios") or []]
     if not scenarios:
         raise ConfigError("config declares no scenarios")
     reps = int(doc.get("reps", 1))
-    fit_config = _fit_config_from(doc.get("fit", {}), seed=0, keep_forests=False)
+    fit_doc = _mapping(doc.get("fit"), "fit")
+    fit_config = _fit_config_from(fit_doc, seed=0, keep_forests=False)
     out = _out_dir(out_path)
     manifest = _Manifest("simulate", out,
                          {"scenarios": doc.get("scenarios"), "reps": reps,
-                          "fit": doc.get("fit", {})},
+                          "fit": fit_doc},
                          seed, {"config": config_path})
     rows = run_benchmark(scenarios, reps, fit_config, seed, workers)
     header = ["scenario", "kind", "n", "censoring", "family", "rep", "rmse",
@@ -416,6 +431,16 @@ def cmd_simulate(config_path, out_path, seed, workers):
         fh.write(format_benchmark_table(rows))
     manifest.finish()
     click.echo(f"wrote {len(rows)} replication rows")
+
+
+_CV_AXES = ("q", "k", "n_trees")
+
+
+def _cv_axes(doc, what: str) -> dict:
+    """A crossval setting or grid: a mapping over the axes it can vary."""
+    doc = _mapping(doc, what)
+    _reject_unknown(doc, _CV_AXES, what)
+    return doc
 
 
 @main.command("crossval")
@@ -433,13 +458,23 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
 
     doc = _load_yaml(config_path)
     seed = _seed(seed, doc)
-    base = doc.get("fit", {})
+    _reject_unknown(doc, ("seed", "fit", "grid", "settings"), "crossval config")
+    if doc.get("grid") is not None and doc.get("settings") is not None:
+        raise ConfigError("give crossval either 'grid' or 'settings', not both")
+    base = _mapping(doc.get("fit"), "fit")
     # a setting or grid axis that is absent keeps the fit block's value
     base_config = _fit_config_from(base, seed, keep_forests=True)
     hyper, prior = base_config.hyper, base_config.prior
     settings = doc.get("settings")
-    if settings is None:
-        grid_doc = doc.get("grid", {})
+    if settings is not None:
+        if not isinstance(settings, list):
+            raise ConfigError("crossval settings must be a list of mappings")
+        settings = [_cv_axes(s, "setting") for s in settings]
+    else:
+        grid_doc = _cv_axes(doc.get("grid"), "grid")
+        scalar = sorted(k for k, v in grid_doc.items() if not isinstance(v, list))
+        if scalar:
+            raise ConfigError(f"crossval grid axes must be lists: {scalar}")
         settings = [{"q": q, "k": k, "n_trees": J}
                     for q in grid_doc.get("q", [hyper.q])
                     for k in grid_doc.get("k", [prior.k])

@@ -127,7 +127,15 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
                         bandwidth: float | None = None,
                         level: float = 0.95) -> EffectDistribution:
     """Patient-averaged posterior CDF of the effects with pointwise bands,
-    plus a Gaussian-kernel smooth of the corresponding density."""
+    plus a Gaussian-kernel smooth of the corresponding density.
+
+    The density is the kernel average over all draws' effects. Tied effects
+    are collapsed first (tree-ensemble effects are piecewise constant, so a
+    posterior holds few distinct values): each distinct value's kernel is
+    weighted by its count, and only values within +-8 bandwidths of a grid
+    point enter its sum, so a grid point with none there gets 0. Each
+    dropped term is below exp(-32) ~ 1.3e-14 of the kernel's peak.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 1 or np.any(np.diff(grid) <= 0):
         raise DataError("grid must be strictly increasing")
@@ -147,10 +155,11 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
     lo = np.quantile(per_draw, alpha, axis=0)
     hi = np.quantile(per_draw, 1.0 - alpha, axis=0)
 
-    flat = theta.ravel()
-    density = np.empty(grid.shape[0])
-    for gi, t in enumerate(grid):
-        density[gi] = float(np.mean(norm.pdf((t - flat) / bandwidth))) / bandwidth
+    values, counts = np.unique(theta, return_counts=True)
+    starts = np.searchsorted(values, grid - 8.0 * bandwidth, side="left")
+    stops = np.searchsorted(values, grid + 8.0 * bandwidth, side="right")
+    density = np.array([counts[s:e] @ norm.pdf((t - values[s:e]) / bandwidth)
+                        for t, s, e in zip(grid, starts, stops)]) / (theta.size * bandwidth)
 
     if np.any(np.diff(cdf) < 0) or cdf[0] < 0 or cdf[-1] > 1:
         raise NumericError("effect CDF estimate is not a proper CDF")

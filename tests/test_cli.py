@@ -182,3 +182,59 @@ def test_crossval_axes_absent_from_the_grid_come_from_the_fit_block(
     with open(out / "cv.csv") as fh:
         means = [r for r in csv.DictReader(fh) if r["fold"] == "mean"]
     assert [(float(r["q"]), float(r["k"]), int(r["n_trees"])) for r in means] == expected
+
+
+def test_summarize_reruns_are_byte_identical(run_dir):
+    outs = [run_dir / "summary1", run_dir / "summary2"]
+    for out in outs:
+        result = invoke("summarize", run_dir, "--out", out)
+        assert result.exit_code == 0, result.output
+    for name in ("ite.csv", "effect_cdf.csv", "effect_density.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_empty_yaml_level_reads_as_absent(trial, tmp_path):
+    # YAML reads a level with nothing after it (``hyper:``) as null
+    without = {k: v for k, v in TINY_FIT.items() if k != "hyper"}
+    outs = []
+    for name, doc in (("absent", without), ("empty", {**without, "hyper": None})):
+        config = write_yaml(tmp_path / f"{name}.yaml", doc)
+        outs.append(tmp_path / name)
+        result = invoke("fit", *trial, "--config", config, "--out", outs[-1], "--seed", 3)
+        assert result.exit_code == 0, result.output
+    assert (outs[0] / DRAWS_FILE).read_bytes() == (outs[1] / DRAWS_FILE).read_bytes()
+
+
+@pytest.mark.parametrize("level, value", [("hyper", [1, 2]), ("prior", 3)])
+def test_non_mapping_yaml_level_exits_with_config_error(trial, tmp_path, level, value):
+    config = write_yaml(tmp_path / "fit.yaml", {**TINY_FIT, level: value})
+    result = invoke("fit", *trial, "--config", config, "--out", tmp_path / "out", "--seed", 3)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "[config]" in result.output and f"{level} must be a mapping" in result.output
+
+
+def test_simulate_top_level_typo_exits_with_config_error(tmp_path):
+    doc = {"seed": 1, "rep": 3, "scenarios": [{"kind": "aft-linear-null", "n": 20}]}
+    result = invoke("simulate", "--config", write_yaml(tmp_path / "sim.yaml", doc),
+                    "--out", tmp_path / "out")
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "unknown simulate config keys: ['rep']" in result.output
+
+
+@pytest.mark.parametrize("cv_doc, message", [
+    ({"settings": [{"q": 0.5, "alpha": 0.5}]}, "unknown setting keys: ['alpha']"),
+    ({"grid": {"q": [0.5], "alpha": [0.5]}}, "unknown grid keys: ['alpha']"),
+    ({"setting": [{"q": 0.5}]}, "unknown crossval config keys: ['setting']"),
+    ({"grid": {"q": [0.5]}, "settings": [{"q": 0.5}]}, "either 'grid' or 'settings'"),
+    ({"settings": {"q": 0.5}}, "settings must be a list"),
+    ({"fit": 5}, "fit must be a mapping"),
+    ({"grid": {"q": 0.5, "k": [2.0]}}, "grid axes must be lists: ['q']"),
+], ids=["setting", "grid", "top_level", "grid_and_settings", "settings_mapping", "fit_int",
+        "grid_scalar"])
+def test_crossval_keys_it_cannot_vary_exit_with_config_error(
+        tmp_path, trial, monkeypatch, cv_doc, message):
+    monkeypatch.setattr(cli, "fit", lambda train, config: pytest.fail("fit was called"))
+    result = invoke("crossval", *trial, "--config", write_yaml(tmp_path / "cv.yaml", cv_doc),
+                    "--out", tmp_path / "cv", "--folds", 2, "--seed", 5)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert message in result.output
