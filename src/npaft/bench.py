@@ -14,19 +14,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .data import EncodedDataset, fit_linear_lognormal_aft
-from .engine import FitConfig, PosteriorDraws, fit
+from .engine import FitConfig, fit, map_tasks, predict_m
 from .errors import ConfigError, DataError, NumericError
 from .hte import allocate, differential_effect, ite_draws
 
 EULER_GAMMA = 0.5772156649015329
 CENSOR_TARGETS = {"light": 0.20, "heavy": 0.45}
+CENSOR_XTOL = 1e-10   # root-finding tolerance on the censoring rate
+CV_WEIGHT_FLOOR = 1e-3  # censoring-survival weights below this are raised to it
 FAMILY_TAGS = ("normal", "gumbel", "std-gamma", "t-mixture")
 
 
@@ -100,8 +101,6 @@ def gen_null_aft(coefs: np.ndarray, family: ResidualFamily, n: int,
     is ``b1 + x' b_int`` (the fixed-regression scenario).
     """
     coefs = np.asarray(coefs, dtype=float)
-    if coefs.shape[0] < 2:
-        raise ConfigError("need at least intercept and treatment coefficients")
     b0, b1, bx = coefs[0], coefs[1], coefs[2:]
     p = bx.shape[0]
     X = rng.standard_normal((n, p))
@@ -109,10 +108,7 @@ def gen_null_aft(coefs: np.ndarray, family: ResidualFamily, n: int,
     theta = np.full(n, b1)
     log_t = b0 + b1 * a + (X @ bx if p else 0.0)
     if interaction_coefs is not None:
-        b_int = np.asarray(interaction_coefs, dtype=float)
-        if b_int.shape[0] != p:
-            raise ConfigError("interaction coefficients must match covariate count")
-        theta = b1 + X @ b_int
+        theta = b1 + X @ np.asarray(interaction_coefs, dtype=float)
         log_t = b0 + a * theta + (X @ bx if p else 0.0)
     log_t = log_t + gen_residuals(family, n, rng)
     return SimData(np.exp(log_t), a, X, theta)
@@ -185,7 +181,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_bump(p: int, rng: np.random.Generator) -> GaussianBump:
     r = rng.exponential(2.0)
-    size = min(int(math.floor(r + 1.5)), 10)
+    size = min(int(math.floor(r + 1.5)), 10, p)  # a bump spans at most all p covariates
     idx = rng.choice(p, size=size, replace=False)
     mu = rng.standard_normal(size)
     sqrt_d = rng.uniform(0.1, 2.0, size)
@@ -220,20 +216,17 @@ def gen_friedman_scenario(n: int, rng: np.random.Generator, p: int = 20,
     return surface, SimData(np.exp(log_t), a, X, theta)
 
 
-def apply_censoring(sim: SimData, level: str, rng: np.random.Generator,
-                    targets: dict[str, float] | None = None,
-                    pilot_tol: float = 1e-10) -> SimData:
+def apply_censoring(sim: SimData, level: str, rng: np.random.Generator) -> SimData:
     """Independent exponential censoring with the rate calibrated so the
-    expected censored fraction matches the level's target."""
-    if targets is None:
-        targets = CENSOR_TARGETS
+    expected censored fraction matches the level's target in
+    ``CENSOR_TARGETS``."""
     if level == "none":
         sim.y = sim.T.copy()
         sim.delta = np.ones(sim.T.shape[0], dtype=np.int8)
         return sim
-    if level not in targets:
+    if level not in CENSOR_TARGETS:
         raise ConfigError(f"unknown censoring level {level!r}")
-    target = targets[level]
+    target = CENSOR_TARGETS[level]
     T = sim.T
 
     def expected_censored(lam: float) -> float:
@@ -246,7 +239,7 @@ def apply_censoring(sim: SimData, level: str, rng: np.random.Generator,
         hi *= 2.0
     else:
         raise NumericError("censoring calibration failed to bracket the target")
-    lam = brentq(expected_censored, lo, hi, xtol=pilot_tol)
+    lam = brentq(expected_censored, lo, hi, xtol=CENSOR_XTOL)
     C = rng.exponential(1.0 / lam, T.shape[0])
     sim.y = np.minimum(T, C)
     sim.delta = (T <= C).astype(np.int8)
@@ -286,11 +279,6 @@ class MetricRow:
     pct_strong: float
     pct_mild: float
     censored_fraction: float = math.nan
-
-    def as_dict(self) -> dict:
-        return {"rmse": self.rmse, "mcprop": self.mcprop, "coverage": self.coverage,
-                "pct_strong": self.pct_strong, "pct_mild": self.pct_mild,
-                "censored_fraction": self.censored_fraction}
 
 
 def score_replication(true_theta: np.ndarray, theta_hat: np.ndarray,
@@ -334,16 +322,15 @@ def param_aft_baseline(data: EncodedDataset, interactions: bool = True) -> dict:
 
 # -- cross-validation ---------------------------------------------------------
 
-def cross_validation_score(data: EncodedDataset, n_folds: int, fit_fn,
-                           rng: np.random.Generator,
-                           weight_floor: float = 1e-3,
-                           weight_estimator=None) -> tuple[list[float], float]:
+def cross_validation_score(data: EncodedDataset, n_folds: int, config: FitConfig,
+                           rng: np.random.Generator) -> tuple[list[float], float]:
     """Censoring-weighted absolute prediction error over K folds.
 
-    ``fit_fn(train_data)`` must return a predictor ``f(a, X) -> point
-    estimates`` of the expected log failure time on the original scale.
-    ``weight_estimator(train_data)`` may replace the default Kaplan-Meier
-    censoring-survival fit; it must return a callable of evaluation times.
+    Each fold's training part is fitted with ``config`` (forests kept), and
+    each test row's log failure time is predicted by the posterior mean of
+    its arm's ``predict_m``. Events are weighted by the inverse of the
+    training part's Kaplan-Meier censoring survival, floored at
+    ``CV_WEIGHT_FLOOR``.
     """
     if n_folds < 2:
         raise ConfigError(f"need at least 2 folds, got {n_folds}")
@@ -357,18 +344,18 @@ def cross_validation_score(data: EncodedDataset, n_folds: int, fit_fn,
         train = data.subset(np.nonzero(mask)[0])
         if not (train.delta == 1).any():
             raise DataError(f"fold {k + 1}: training part has no events")
-        predict = fit_fn(train)
-        if weight_estimator is None:
-            censor_surv = KaplanMeier(train.y, 1 - train.delta)
-        else:
-            censor_surv = weight_estimator(train)
+        draws = fit(train, replace(config, keep_forests=True))
         test = data.subset(test_idx)
-        v_hat = np.asarray(censor_surv(test.y), dtype=float)
-        if np.any((v_hat < weight_floor) & (test.delta == 1)):
+        v_hat = KaplanMeier(train.y, 1 - train.delta)(test.y)
+        if np.any((v_hat < CV_WEIGHT_FLOOR) & (test.delta == 1)):
             warnings.warn("censoring-survival estimate hit the weight floor",
                           RuntimeWarning)
-        v_hat = np.maximum(v_hat, weight_floor)
-        m_hat = np.asarray(predict(test.a, test.X), dtype=float)
+        v_hat = np.maximum(v_hat, CV_WEIGHT_FLOOR)
+        m_hat = np.empty(test.n)
+        for arm in (0, 1):
+            rows = test.a == arm
+            if rows.any():
+                m_hat[rows] = predict_m(draws, arm, test.X[rows]).mean(axis=0)
         term = test.delta / v_hat * np.abs(np.log(test.y) - m_hat)
         scores.append(float(term.mean()))
     return scores, float(np.mean(scores))
@@ -397,14 +384,23 @@ class SimScenario:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if not self.name:
             self.name = f"{self.kind}/n{self.n}/{self.censoring}/{self.family.tag}"
+        if self.kind == "friedman-hte":
+            return
+        p = len(self.coefs) - 2
+        if p < 1:
+            raise ConfigError(f"scenario {self.name!r}: coefs must give an intercept, a "
+                              f"treatment and at least one covariate coefficient, got "
+                              f"{tuple(self.coefs)}")
+        if self.kind == "fixed-regression" and (self.interaction_coefs is None
+                                                or len(self.interaction_coefs) != p):
+            raise ConfigError(f"scenario {self.name!r}: interaction_coefs must give one "
+                              f"coefficient per covariate ({p}), got {self.interaction_coefs}")
 
 
 def _generate(scenario: SimScenario, rng: np.random.Generator) -> SimData:
     if scenario.kind == "aft-linear-null":
         return gen_null_aft(np.asarray(scenario.coefs), scenario.family, scenario.n, rng)
     if scenario.kind == "fixed-regression":
-        if scenario.interaction_coefs is None:
-            raise ConfigError("fixed-regression scenario needs interaction_coefs")
         return gen_null_aft(np.asarray(scenario.coefs), scenario.family, scenario.n,
                             rng, np.asarray(scenario.interaction_coefs))
     if scenario.kind == "cox-null":
@@ -435,45 +431,24 @@ def run_replication(scenario: SimScenario, fit_config: FitConfig,
     return row
 
 
-def _run_task(args):
-    scenario, fit_config, seed_seq, s_i, rep = args
-    row = run_replication(scenario, fit_config, seed_seq)
-    return s_i, rep, row
-
-
 def run_benchmark(scenarios: list[SimScenario], reps: int, fit_config: FitConfig,
-                  seed: int, workers: int = 1) -> list[dict]:
+                  seed: int) -> list[dict]:
     """Run every scenario for ``reps`` replications; one result row each.
 
-    Tasks are seeded from one root sequence in a fixed order, so results are
-    reproducible regardless of worker count or completion order.
+    Replications run through ``map_tasks``, in forked workers as chains do.
+    Each is seeded from one root sequence in a fixed order, so the rows are
+    the same however many workers run them.
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
-    root = np.random.SeedSequence(seed)
-    tasks = []
-    seqs = root.spawn(len(scenarios) * reps)
-    for s_i, scenario in enumerate(scenarios):
-        for rep in range(reps):
-            tasks.append((scenario, fit_config, seqs[s_i * reps + rep], s_i, rep))
-    results: dict[tuple[int, int], MetricRow] = {}
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for s_i, rep, row in pool.map(_run_task, tasks):
-                results[(s_i, rep)] = row
-    else:
-        for task in tasks:
-            s_i, rep, row = _run_task(task)
-            results[(s_i, rep)] = row
-    rows = []
-    for s_i, scenario in enumerate(scenarios):
-        for rep in range(reps):
-            row = results[(s_i, rep)]
-            rows.append({"scenario": scenario.name, "kind": scenario.kind,
-                         "n": scenario.n, "censoring": scenario.censoring,
-                         "family": scenario.family.tag, "rep": rep,
-                         **row.as_dict()})
-    return rows
+    seqs = np.random.SeedSequence(seed).spawn(len(scenarios) * reps)
+    tasks = [(scenario, rep, seqs[s_i * reps + rep])
+             for s_i, scenario in enumerate(scenarios) for rep in range(reps)]
+    rows = map_tasks(lambda tasks, i: run_replication(tasks[i][0], fit_config, tasks[i][2]),
+                     tasks, len(tasks))
+    return [{"scenario": scenario.name, "kind": scenario.kind, "n": scenario.n,
+             "censoring": scenario.censoring, "family": scenario.family.tag, "rep": rep,
+             **asdict(row)} for (scenario, rep, _), row in zip(tasks, rows)]
 
 
 def format_benchmark_table(rows: list[dict]) -> str:

@@ -24,9 +24,10 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bench import ResidualFamily, SimScenario, format_benchmark_table, run_benchmark
+from .bench import ResidualFamily, SimScenario, cross_validation_score, \
+    format_benchmark_table, run_benchmark
 from .data import CovariateSchema, load_dataset
-from .engine import MOVE_ORDER, FitConfig, PosteriorDraws, fit, predict_m
+from .engine import MOVE_ORDER, FitConfig, PosteriorDraws, fit
 from .errors import ConfigError, DataError, NumericError
 from .forest import ForestPrior
 from .hte import (differential_effect, effect_distribution, ite_draws,
@@ -112,7 +113,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 # dataclass fields set from the data, by calibration or by the machine, never from YAML
-_NOT_FROM_YAML = frozenset({"sigma_tau_sq", "zeta", "grids", "spill_dir"})
+_NOT_FROM_YAML = frozenset({"sigma_tau_sq", "zeta", "spill_dir"})
 
 
 def _yaml_keys(cls) -> set[str]:
@@ -404,10 +405,10 @@ def _scenario_from(doc) -> SimScenario:
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None)
-@click.option("--workers", type=int, default=1, show_default=True)
 @_guarded
-def cmd_simulate(config_path, out_path, seed, workers):
-    """Run generative benchmarks and write per-replication metrics."""
+def cmd_simulate(config_path, out_path, seed):
+    """Run generative benchmarks and write per-replication metrics.
+    Replications run side by side in forked workers, one per usable CPU."""
     doc = _load_yaml(config_path)
     seed = _seed(seed, doc)
     _reject_unknown(doc, ("seed", "scenarios", "reps", "fit"), "simulate config")
@@ -422,7 +423,7 @@ def cmd_simulate(config_path, out_path, seed, workers):
                          {"scenarios": doc.get("scenarios"), "reps": reps,
                           "fit": fit_doc},
                          seed, {"config": config_path})
-    rows = run_benchmark(scenarios, reps, fit_config, seed, workers)
+    rows = run_benchmark(scenarios, reps, fit_config, seed)
     header = ["scenario", "kind", "n", "censoring", "family", "rep", "rmse",
               "mcprop", "coverage", "pct_strong", "pct_mild", "censored_fraction"]
     _write_csv(out / "benchmark.csv", header,
@@ -454,8 +455,6 @@ def _cv_axes(doc, what: str) -> dict:
 @_guarded
 def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, delimiter):
     """Censoring-weighted cross-validation over hyperparameter settings."""
-    from .bench import cross_validation_score
-
     doc = _load_yaml(config_path)
     seed = _seed(seed, doc)
     _reject_unknown(doc, ("seed", "fit", "grid", "settings"), "crossval config")
@@ -493,24 +492,9 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
             prior=dataclasses.replace(prior, k=float(setting.get("k", prior.k)),
                                       n_trees=int(setting.get("n_trees", prior.n_trees))))
         used = [config.hyper.q, config.prior.k, config.prior.n_trees]
-
-        def fit_fn(train, _config=config):
-            draws = fit(train, _config)
-
-            def predictor(a_vec, X):
-                a_vec = np.asarray(a_vec)
-                X = np.atleast_2d(X)
-                out_v = np.empty(X.shape[0])
-                for arm in (0, 1):
-                    mask = a_vec == arm
-                    if mask.any():
-                        out_v[mask] = predict_m(draws, arm, X[mask]).mean(axis=0)
-                return out_v
-            return predictor
-
         # identical fold split for every setting so scores are comparable
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        fold_scores, mean_score = cross_validation_score(data, folds, fit_fn, rng)
+        fold_scores, mean_score = cross_validation_score(data, folds, config, rng)
         rows += [[s_i, *used, f_i, score] for f_i, score in enumerate(fold_scores)]
         rows.append([s_i, *used, "mean", mean_score])
     _write_csv(out / "cv.csv", ["setting", "q", "k", "n_trees", "fold", "cv_abs"], rows)

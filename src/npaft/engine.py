@@ -28,6 +28,7 @@ import tempfile
 import threading
 import warnings
 import zipfile
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing.pool import ExceptionWithTraceback
 from pathlib import Path
@@ -84,9 +85,7 @@ class FitConfig:
         return (self.iterations - self.burn_in) // self.thin
 
     def to_jsonable(self) -> dict:
-        doc = asdict(self)
-        doc["prior"].pop("grids", None)
-        return doc
+        return asdict(self)
 
 
 def _column(about: str, dtype, *shape):
@@ -267,14 +266,15 @@ class _ChainJob:
     log_y_tr: np.ndarray          # transformed log responses; censored rows at their bound
     seqs: list[np.random.SeedSequence]  # one per chain
     store: dict[str, np.ndarray]  # the draw columns, see ``_draw_store``
+    trace_hook: Callable | None = None  # see ``fit``
 
 
-def _run_chain(job: _ChainJob, chain: int,
-               trace_hook=None) -> tuple[list[PackedForest] | None, int]:
+def _run_chain(job: _ChainJob, chain: int) -> tuple[list[PackedForest] | None, int]:
     """Run one chain and write its retained draws into its own rows of
     ``job.store``. Returns the chain's packed forests (None unless
     ``keep_forests``) and the number of sweeps that hit the truncation level."""
     config, hyper, transform, store = job.config, job.hyper, job.transform, job.store
+    trace_hook = job.trace_hook
     comp = job.seqs[chain].spawn(6)
     rng_trees, rng_labels, rng_sticks, rng_locs, rng_mass, rng_imp = map(
         np.random.default_rng, comp)
@@ -344,54 +344,58 @@ def _run_chain(job: _ChainJob, chain: int,
     return forests, hit_truncation
 
 
-_WORKER_JOB: _ChainJob | None = None  # set in each forked pool worker only
+_WORKER_TASK: tuple[Callable, object] | None = None  # set in each forked pool worker only
 
 
-def _set_worker_job(job: _ChainJob) -> None:
-    global _WORKER_JOB
-    _WORKER_JOB = job
+def _set_worker_task(fn: Callable, job) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = fn, job
 
 
-def _pool_chain(chain: int):
-    """Pool task: run ``chain`` in a forked worker. Warnings are recorded
+def _pool_task(i: int):
+    """Pool task: run ``fn(job, i)`` in a forked worker. Warnings are recorded
     under the filters the worker inherited, and an exception is returned
-    with its remote traceback, so the parent can replay both in chain order."""
+    with its remote traceback, so the parent can replay both in task order."""
+    fn, job = _WORKER_TASK
     with warnings.catch_warnings(record=True) as caught:
         try:
-            result = _run_chain(_WORKER_JOB, chain)
+            result = fn(job, i)
         except Exception as exc:
             result = ExceptionWithTraceback(exc, exc.__traceback__)
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _pool_size(chains: int, trace_hook) -> int:
-    """Forked workers for a fit: one per chain up to the usable CPUs, or 0
-    to run the chains in this process. A trace hook observes live forest
-    and state objects, so traced fits stay in-process; so do fits where
-    forking is unavailable or unsafe (a daemonic pool worker may not have
-    children, and other threads may hold locks a forked child would keep)."""
-    if (chains < 2 or trace_hook is not None
+def _pool_size(count: int, in_process: bool = False) -> int:
+    """Forked workers for ``count`` tasks: one per task up to the usable
+    CPUs, or 0 to run the tasks in this process. Tasks also stay in-process
+    when asked to, or where forking is unavailable or unsafe (a daemonic
+    pool worker may not have children, and other threads may hold locks a
+    forked child would keep)."""
+    if (count < 2 or in_process
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon
             or threading.active_count() > 1):
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    workers = min(chains, cpus)
+    workers = min(count, cpus)
     return workers if workers > 1 else 0
 
 
-def _run_chains(job: _ChainJob, trace_hook) -> list[tuple[list[PackedForest] | None, int]]:
-    """Every chain's (forests, truncation hits), in chain order."""
-    chains = job.config.chains
-    workers = _pool_size(chains, trace_hook)
+def map_tasks(fn: Callable, job, count: int, in_process: bool = False) -> list:
+    """``[fn(job, i) for i in range(count)]``, run in forked workers (see
+    ``_pool_size``). The workers inherit ``fn`` and ``job`` by forking, so
+    neither is pickled and ``fn`` may be a closure; only ``i``, results and
+    warnings are. Results, worker warnings and the first exception arrive in
+    task order, as they would in this process."""
+    workers = _pool_size(count, in_process)
     if not workers:
-        return [_run_chain(job, chain, trace_hook) for chain in range(chains)]
+        return [fn(job, i) for i in range(count)]
     results = []
-    registry: dict = {}  # dedupes re-issued warnings across chains, as one process would
+    registry: dict = {}  # dedupes re-issued warnings across tasks, as one process would
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_set_worker_job, initargs=(job,)) as pool:
-        for result, caught in pool.imap(_pool_chain, range(chains)):
+    with ctx.Pool(workers, initializer=_set_worker_task, initargs=(fn, job)) as pool:
+        for result, caught in pool.imap(_pool_task, range(count)):
             for message, category, filename, lineno in caught:
                 warnings.warn_explicit(message, category, filename, lineno,
                                        registry=registry)
@@ -405,12 +409,12 @@ def fit(data: EncodedDataset, config: FitConfig,
         trace_hook=None) -> PosteriorDraws:
     """Run the full sampler and materialize posterior draws.
 
-    With more than one chain, the chains run in forked worker processes, one
-    per usable CPU; each worker holds its own chain's working set (forest,
-    mixture state, random streams) and writes its retained draws straight
-    into memory shared with this process. The result is byte-identical to
-    running the chains one after another, which is what happens for a single
-    chain, on one CPU, or where ``fork`` is unavailable.
+    With more than one chain, the chains run in forked worker processes
+    (``map_tasks``), one per usable CPU; each worker holds its own chain's
+    working set (forest, mixture state, random streams) and writes its
+    retained draws straight into memory shared with this process. The result
+    is byte-identical to running the chains one after another, which is what
+    happens for a single chain, on one CPU, or where ``fork`` is unavailable.
 
     ``trace_hook(chain, iteration, step, payload)``, when given, is invoked
     after every step of every iteration, making the step order auditable.
@@ -436,13 +440,13 @@ def fit(data: EncodedDataset, config: FitConfig,
 
     U = np.column_stack([data_tr.a.astype(float), data_tr.X])
     grids = _build_grids(U, config.max_split_points)
-    prior = config.prior.resolved(zeta=4.0 * transform.sigma_aft, grids=grids)
+    prior = replace(config.prior, zeta=4.0 * transform.sigma_aft)
     store, spill = _draw_store(config.chains * config.draws_per_chain, data_tr.n, hyper.H,
                                config.memory_budget_mb, config.spill_dir)
     job = _ChainJob(config=config, hyper=hyper, prior=prior, transform=transform,
                     U=U, grids=grids, delta=data_tr.delta, log_y_tr=np.log(data_tr.y),
-                    seqs=seqs[1:], store=store)
-    results = _run_chains(job, trace_hook)
+                    seqs=seqs[1:], store=store, trace_hook=trace_hook)
+    results = map_tasks(_run_chain, job, config.chains, in_process=trace_hook is not None)
 
     frac_hit = sum(hits for _, hits in results) / (config.chains * config.iterations)
     if frac_hit > 0.01:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class ForestPrior:
     beta: float = 2.0
     n_trees: int = 200
     k: float = 2.0
-    zeta: float | None = None            # 4 * sigma_aft, set from the response fit
-    grids: list[np.ndarray] | None = None  # per predictor column, includes the arm column
+    zeta: float | None = None  # 4 * sigma_aft, set from the response fit
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -69,9 +68,6 @@ class ForestPrior:
         if self.zeta is None:
             raise ConfigError("zeta is unset; it is derived from the response-scale fit")
         return self.zeta ** 2 / (4.0 * self.n_trees * self.k ** 2)
-
-    def resolved(self, zeta: float, grids: list[np.ndarray]) -> "ForestPrior":
-        return replace(self, zeta=zeta, grids=grids)
 
 
 def split_prob(depth: int, prior: ForestPrior) -> float:
@@ -668,8 +664,6 @@ class Forest:
     """A fixed-size collection of trees with cached per-row fits."""
 
     def __init__(self, ws: TreeWorkspace, prior: ForestPrior):
-        if prior.grids is None:
-            raise ConfigError("forest prior has no split grids")
         self.ws = ws
         self.prior = prior
         self.trees = [Tree(ws) for _ in range(prior.n_trees)]
@@ -686,16 +680,16 @@ class Forest:
         fresh = np.add.reduce([t.fit_vector() for t in self.trees])
         return float(np.abs(fresh - self.m_total).max())
 
-    def counterfactual_total(self, flipped_col: np.ndarray, col_index: int = 0) -> np.ndarray:
-        """Ensemble fit with one predictor column replaced, reusing cached fits
-        of trees that never split on it."""
+    def counterfactual_total(self, flipped_arm: np.ndarray) -> np.ndarray:
+        """Ensemble fit with the arm column (column 0) replaced, reusing cached
+        fits of trees that never split on it."""
         cols = list(self.ws.cols)
-        cols[col_index] = np.ascontiguousarray(flipped_col, dtype=float)
+        cols[0] = np.ascontiguousarray(flipped_arm, dtype=float)
         total = self.m_total.copy()
         all_rows = np.arange(self.ws.n)
         assign = np.empty(self.ws.n, dtype=np.intp)
         for j, t in enumerate(self.trees):
-            if t.uses_column(col_index):
+            if t.uses_column(0):
                 for leaf, rr in route(t.var, t.cut, t.left, t.right, cols, all_rows, 0):
                     assign[rr] = leaf
                 total += t.values[assign] - self.fits[j]

@@ -25,6 +25,7 @@ from .errors import ConfigError, DataError, NumericError
 STRONG_CUT = 0.95
 MILD_CUT = 0.80
 BENEFIT_BANDS = ((0.99, 1.0), (0.95, 0.99), (0.75, 0.95), (0.25, 0.75), (0.0, 0.25))
+SURVIVAL_CHUNK = 256  # draws per block of survival_curve's draws x times x H array
 
 
 @dataclass
@@ -253,7 +254,7 @@ class SurvivalCurve:
 
 def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
                    patient: int | None = None, x: np.ndarray | None = None,
-                   level: float = 0.95, chunk: int = 256) -> SurvivalCurve:
+                   level: float = 0.95) -> SurvivalCurve:
     """Posterior survival curve for one arm at a patient's covariates.
 
     For training patients the stored fits are reused; an explicit covariate
@@ -273,8 +274,8 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
     log_t = np.log(times)
     n_draws = m.shape[0]
     curves = np.empty((n_draws, times.shape[0]))
-    for start in range(0, n_draws, chunk):
-        end = min(start + chunk, n_draws)
+    for start in range(0, n_draws, SURVIVAL_CHUNK):
+        end = min(start + SURVIVAL_CHUNK, n_draws)
         z = (log_t[None, :, None] - m[start:end, None, None]
              - draws.tau[start:end, None, :]) / draws.sigma[start:end, None, None]
         curves[start:end] = 1.0 - np.einsum("dth,dh->dt", norm.cdf(z),

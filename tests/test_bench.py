@@ -1,12 +1,18 @@
 import dataclasses
+import functools
+import multiprocessing
+import re
+import warnings
 
 import numpy as np
+import pytest
 
-from npaft import bench
-from npaft.bench import ResidualFamily, SimScenario
+from npaft import ConfigError, DataError, EncodedDataset, bench, engine
+from npaft.bench import MetricRow, ResidualFamily, SimScenario
 from npaft.engine import FitConfig
 from npaft.forest import ForestPrior
 from npaft.mixture import CdpHyper
+from test_engine import needs_pool
 
 
 class TestRunReplication:
@@ -32,3 +38,211 @@ class TestRunReplication:
         assert cfg.keep_forests is False
         # only the seed and keep_forests differ from the caller's config
         assert dataclasses.replace(cfg, seed=1, keep_forests=True) == fit_config
+
+
+class TestKaplanMeier:
+    def test_hand_computed_table_with_ties(self):
+        # one event and one censoring tied at t = 2, two events tied at t = 3;
+        # rows censored at an event time are still at risk at that time
+        times = np.array([3.0, 2.0, 4.0, 1.0, 3.0, 2.0])
+        events = np.array([1, 0, 0, 1, 1, 1])
+        km = bench.KaplanMeier(times, events)
+        assert np.array_equal(km.times, [1.0, 2.0, 3.0, 4.0])
+        expected = [5 / 6, 5 / 6 * 4 / 5, 5 / 6 * 4 / 5 * 1 / 3, 5 / 6 * 4 / 5 * 1 / 3]
+        assert np.allclose(km.survival, expected, rtol=1e-15)
+        # right-continuous: the step lands at each event time
+        got = km([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 9.0])
+        assert np.allclose(got, [1.0, 5 / 6, 5 / 6, 2 / 3, 2 / 3, 2 / 9, 2 / 9, 2 / 9],
+                           rtol=1e-15)
+
+
+class RecordingRng:
+    """A generator that records the scale of every exponential draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.scales = []
+
+    def exponential(self, scale, size):
+        self.scales.append(scale)
+        return self.rng.exponential(scale, size)
+
+
+class TestApplyCensoring:
+    @pytest.mark.parametrize("level", ["light", "heavy"])
+    def test_rate_reaches_the_target_expected_fraction(self, level):
+        T = np.exp(np.random.default_rng(4).normal(1.0, 0.8, 200_000))
+        rng = RecordingRng(5)
+        sim = bench.apply_censoring(bench.SimData(T, None, None, None), level, rng)
+        (scale,) = rng.scales
+        target = bench.CENSOR_TARGETS[level]
+        assert abs(np.mean(-np.expm1(-T / scale)) - target) < 1e-9
+        # the realised fraction is a binomial average with sd below 0.0012
+        assert abs(np.mean(sim.delta == 0) - target) < 0.006
+        assert np.array_equal(sim.y, np.minimum(T, sim.y))
+        assert np.all(sim.y[sim.delta == 1] == T[sim.delta == 1])
+
+    def test_equal_times_give_the_closed_form_rate(self):
+        rng = RecordingRng(6)
+        bench.apply_censoring(bench.SimData(np.full(50, 2.0), None, None, None), "heavy", rng)
+        # 1 - exp(-2 lam) = 0.45
+        assert np.isclose(1.0 / rng.scales[0], -np.log(0.55) / 2.0, rtol=1e-8)
+
+    def test_none_and_unknown_levels(self):
+        T = np.array([1.0, 2.0, 3.0])
+        sim = bench.apply_censoring(bench.SimData(T, None, None, None), "none", None)
+        assert np.array_equal(sim.y, T) and np.all(sim.delta == 1)
+        with pytest.raises(ConfigError, match="unknown censoring level 'medium'"):
+            bench.apply_censoring(bench.SimData(T, None, None, None), "medium", None)
+
+
+class TestScoreReplication:
+    def test_tiny_arrays(self):
+        row = bench.score_replication(
+            true_theta=[-1.0, 0.5, 2.0], theta_hat=[-0.5, 0.5, 1.0],
+            lower=[-2.0, 0.6, 0.0], upper=[0.0, 1.0, 3.0], allocation=[0, 1, 0],
+            pct_strong=40.0, pct_mild=60.0)
+        assert row.rmse == pytest.approx(np.sqrt(1.25 / 3), rel=1e-15)
+        # only row 2 is misallocated: it benefits (theta > 0) but gets control
+        assert row.mcprop == pytest.approx(1 / 3, rel=1e-15)
+        # row 1's interval [0.6, 1] misses 0.5
+        assert row.coverage == pytest.approx(2 / 3, rel=1e-15)
+        assert (row.pct_strong, row.pct_mild) == (40.0, 60.0)
+        assert np.isnan(row.censored_fraction)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(DataError, match="mismatched lengths"):
+            bench.score_replication([0.0, 1.0], [0.0], [0.0, 0.0], [1.0, 1.0], [0, 1])
+
+
+class FixedPermutation:
+    def __init__(self, perm):
+        self.perm = np.asarray(perm)
+
+    def permutation(self, n):
+        assert n == self.perm.size
+        return self.perm
+
+
+class TestCrossValidationScore:
+    # rows 0-2 form fold 1 and rows 3-5 fold 2; the stubbed posterior mean of
+    # m is arm + 1 for every row
+    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    a = np.array([0, 1, 0, 1, 0, 1])
+    X = np.arange(6.0)[:, None]
+
+    def score(self, monkeypatch, delta):
+        data = EncodedDataset.from_arrays(self.y, np.asarray(delta), self.a, self.X)
+        fitted = []
+
+        def stub_fit(train, config):
+            fitted.append((train.y.tolist(), config.keep_forests))
+            return len(fitted)
+
+        def stub_predict_m(draws, arm, X):
+            assert draws == len(fitted)
+            assert X.shape[1] == 1
+            return np.vstack([np.full(len(X), arm + 0.0), np.full(len(X), arm + 2.0)])
+
+        monkeypatch.setattr(bench, "fit", stub_fit)
+        monkeypatch.setattr(bench, "predict_m", stub_predict_m)
+        config = FitConfig(seed=1, keep_forests=False)
+        scores, mean = bench.cross_validation_score(data, 2, config,
+                                                    FixedPermutation(range(6)))
+        assert fitted == [([4.0, 5.0, 6.0], True), ([1.0, 2.0, 3.0], True)]
+        assert mean == pytest.approx(np.mean(scores), rel=1e-15)
+        return scores
+
+    def test_hand_computed_weighted_score(self, monkeypatch):
+        scores = self.score(monkeypatch, [1, 0, 1, 1, 0, 1])
+        # fold 1: the censoring KM of training rows 3-5 is 1 before t = 5, so
+        # the events at t = 1 and 3 (m = 1) weigh 1
+        fold1 = (abs(np.log(1.0) - 1.0) + abs(np.log(3.0) - 1.0)) / 3
+        # fold 2: the censoring KM of training rows 0-2 is 1/2 from t = 2 on,
+        # so the events at t = 4 and 6 (m = 2) weigh 2
+        fold2 = (2 * abs(np.log(4.0) - 2.0) + 2 * abs(np.log(6.0) - 2.0)) / 3
+        assert scores == pytest.approx([fold1, fold2], rel=1e-14)
+
+    def test_weights_are_floored(self, monkeypatch):
+        # censoring the last training time of fold 2 drops its KM to 0
+        with pytest.warns(RuntimeWarning, match="weight floor"):
+            scores = self.score(monkeypatch, [1, 0, 0, 1, 0, 1])
+        floor = bench.CV_WEIGHT_FLOOR
+        fold2 = (abs(np.log(4.0) - 2.0) + abs(np.log(6.0) - 2.0)) / floor / 3
+        assert scores[1] == pytest.approx(fold2, rel=1e-14)
+
+    def test_too_few_folds(self):
+        data = EncodedDataset.from_arrays(self.y, np.ones(6), self.a, self.X)
+        with pytest.raises(ConfigError, match="at least 2 folds"):
+            bench.cross_validation_score(data, 1, FitConfig(seed=1), FixedPermutation([]))
+
+
+def tiny_fit_config():
+    return FitConfig(seed=1, iterations=30, burn_in=20, prior=ForestPrior(n_trees=5),
+                     hyper=CdpHyper(H=10), calibration_draws=5_000)
+
+
+SCENARIOS = [SimScenario(kind="aft-linear-null", n=30, family=ResidualFamily("gumbel"),
+                         censoring="light", coefs=(1.0, 0.3, 0.5)),
+             SimScenario(kind="friedman-hte", n=30, family=ResidualFamily("normal"), p=3)]
+
+
+@needs_pool
+def test_run_benchmark_rows_match_in_process(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pooled = bench.run_benchmark(SCENARIOS, 2, tiny_fit_config(), seed=9)
+        monkeypatch.setattr(bench, "map_tasks",
+                            functools.partial(engine.map_tasks, in_process=True))
+        in_process = bench.run_benchmark(SCENARIOS, 2, tiny_fit_config(), seed=9)
+    assert pooled == in_process
+    assert [(r["scenario"], r["rep"]) for r in pooled] == [
+        (s.name, rep) for s in SCENARIOS for rep in range(2)]
+    assert multiprocessing.active_children() == []
+
+
+def task_of(seq: np.random.SeedSequence) -> int:
+    """A replication's place in the task list: its seed is the root's child."""
+    return seq.spawn_key[0]
+
+
+@needs_pool
+def test_replication_warnings_reach_caller_in_task_order(monkeypatch):
+    def warning_replication(scenario, fit_config, seq):
+        warnings.warn(f"task {task_of(seq)}", UserWarning)
+        in_worker = multiprocessing.current_process().daemon
+        return MetricRow(task_of(seq), float(in_worker), 1.0, 0.0, 0.0)
+
+    monkeypatch.setattr(bench, "run_replication", warning_replication)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = bench.run_benchmark(SCENARIOS, 3, tiny_fit_config(), seed=2)
+    assert [str(w.message) for w in caught] == [f"task {i}" for i in range(6)]
+    assert [r["rmse"] for r in rows] == list(range(6))
+    assert all(r["mcprop"] == 1.0 for r in rows)  # each ran in a forked worker
+
+
+@needs_pool
+def test_replication_exception_reaches_caller(monkeypatch):
+    def failing_replication(scenario, fit_config, seq):
+        if task_of(seq) == 2:
+            raise DataError("replication 2 failed")
+        return MetricRow(0.0, 0.0, 1.0, 0.0, 0.0)
+
+    monkeypatch.setattr(bench, "run_replication", failing_replication)
+    with pytest.raises(DataError, match="replication 2 failed"):
+        bench.run_benchmark(SCENARIOS, 2, tiny_fit_config(), seed=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind, extra, message", [
+    ("aft-linear-null", {}, "at least one covariate coefficient"),
+    ("cox-null", {"coefs": (0.0, 0.5)}, "at least one covariate coefficient"),
+    ("fixed-regression", {"coefs": (1.0, 0.3, 0.5)}, "one coefficient per covariate (1)"),
+    ("fixed-regression", {"coefs": (1.0, 0.3, 0.5), "interaction_coefs": (0.1, 0.2)},
+     "one coefficient per covariate (1)"),
+])
+def test_scenarios_that_cannot_be_fitted_are_config_errors(kind, extra, message):
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        SimScenario(kind=kind, n=20, family=ResidualFamily("normal"), **extra)
+    assert f"scenario '{kind}/n20/none/normal'" in str(info.value)

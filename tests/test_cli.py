@@ -7,7 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from npaft import CdpHyper, FitConfig, ForestPrior, ResidualFamily, SimScenario, fit
-from npaft import cli
+from npaft import bench, cli
 from npaft.cli import DRAWS_FILE, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, FORESTS_FILE, main
 from conftest import make_dataset
 from test_engine import small_config
@@ -172,8 +172,8 @@ def test_crossval_axes_absent_from_the_grid_come_from_the_fit_block(
     def recording_fit(train, config):
         seen.append((config.hyper.q, config.prior.k, config.prior.n_trees))
 
-    monkeypatch.setattr(cli, "fit", recording_fit)
-    monkeypatch.setattr(cli, "predict_m", lambda draws, arm, X: np.zeros((1, len(X))))
+    monkeypatch.setattr(bench, "fit", recording_fit)
+    monkeypatch.setattr(bench, "predict_m", lambda draws, arm, X: np.zeros((1, len(X))))
     out = tmp_path / "cv"
     result = invoke("crossval", *trial, "--config", write_yaml(tmp_path / "cv.yaml", cv_doc),
                     "--out", out, "--folds", 2, "--seed", 5)
@@ -233,8 +233,38 @@ def test_simulate_top_level_typo_exits_with_config_error(tmp_path):
         "grid_scalar"])
 def test_crossval_keys_it_cannot_vary_exit_with_config_error(
         tmp_path, trial, monkeypatch, cv_doc, message):
-    monkeypatch.setattr(cli, "fit", lambda train, config: pytest.fail("fit was called"))
+    monkeypatch.setattr(bench, "fit", lambda train, config: pytest.fail("fit was called"))
     result = invoke("crossval", *trial, "--config", write_yaml(tmp_path / "cv.yaml", cv_doc),
                     "--out", tmp_path / "cv", "--folds", 2, "--seed", 5)
     assert result.exit_code == EXIT_CONFIG, result.output
     assert message in result.output
+
+
+SIM_DOC = {"seed": 3, "reps": 2, "fit": TINY_FIT, "scenarios": [
+    {"kind": "aft-linear-null", "n": 30, "censoring": "light", "coefs": [1.0, 0.3, 0.5],
+     "family": {"tag": "gumbel"}},
+    {"kind": "friedman-hte", "n": 30, "p": 4, "family": {"tag": "std-gamma"}}]}
+
+
+def test_simulate_reruns_are_byte_identical(tmp_path):
+    config = write_yaml(tmp_path / "sim.yaml", SIM_DOC)
+    for run in ("a", "b"):
+        result = invoke("simulate", "--config", config, "--out", tmp_path / run)
+        assert result.exit_code == 0, result.output
+    for name in ("benchmark.csv", "table.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    with open(tmp_path / "a" / "benchmark.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["kind"], r["rep"]) for r in rows] == [
+        ("aft-linear-null", "0"), ("aft-linear-null", "1"),
+        ("friedman-hte", "0"), ("friedman-hte", "1")]
+
+
+@pytest.mark.parametrize("kind", ["aft-linear-null", "cox-null", "fixed-regression"])
+def test_simulate_scenario_without_covariate_coefs_exits_with_config_error(tmp_path, kind):
+    doc = {"seed": 1, "fit": TINY_FIT, "scenarios": [{"kind": kind, "n": 20}]}
+    result = invoke("simulate", "--config", write_yaml(tmp_path / "sim.yaml", doc),
+                    "--out", tmp_path / "out")
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert f"scenario '{kind}/n20/none/normal'" in result.output
+    assert "at least one covariate coefficient" in result.output

@@ -202,7 +202,7 @@ def chain_of(rng: np.random.Generator) -> int:
     return rng.bit_generator.seed_seq.spawn_key[0] - 1
 
 
-needs_pool = pytest.mark.skipif(engine._pool_size(2, None) == 0,
+needs_pool = pytest.mark.skipif(engine._pool_size(2) == 0,
                                 reason="needs fork and two usable CPUs")
 
 
@@ -210,7 +210,7 @@ needs_pool = pytest.mark.skipif(engine._pool_size(2, None) == 0,
 class TestParallelChains:
     def test_more_chains_than_cpus_match_in_process(self, small_data):
         cfg = small_config(chains=3, keep_forests=True)
-        assert 0 < engine._pool_size(3, None) <= 3
+        assert 0 < engine._pool_size(3) <= 3
         pooled = fit(small_data, cfg)
         in_process = fit(small_data, cfg, trace_hook=lambda *args: None)
         assert digest(pooled) == digest(in_process)
@@ -239,13 +239,13 @@ class TestParallelChains:
         assert multiprocessing.active_children() == []
 
     def test_in_process_when_hooked_single_chain_or_threaded(self):
-        assert engine._pool_size(1, None) == 0
-        assert engine._pool_size(2, lambda *args: None) == 0
+        assert engine._pool_size(1) == 0
+        assert engine._pool_size(2, in_process=True) == 0
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
         try:
-            assert engine._pool_size(2, None) == 0
+            assert engine._pool_size(2) == 0
         finally:
             stop.set()
             other.join(timeout=10)

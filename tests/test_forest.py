@@ -34,7 +34,7 @@ def prior():
 
 def one_tree(ws):
     """A one-tree forest and its tree, for packing a hand-built tree."""
-    forest = Forest(ws, ForestPrior(n_trees=1, zeta=1.0, grids=ws.grids))
+    forest = Forest(ws, ForestPrior(n_trees=1, zeta=1.0))
     return forest, forest.trees[0]
 
 
@@ -90,20 +90,20 @@ class TestTreePredict:
 class TestForestPredict:
     def test_constant_forest(self, prior):
         ws = make_ws(np.zeros((3, 1)))
-        forest = Forest(ws, ForestPrior(n_trees=7, zeta=1.0, grids=ws.grids))
+        forest = Forest(ws, ForestPrior(n_trees=7, zeta=1.0))
         for t in forest.trees:
             t.values[0] = 0.31
         assert packed_predict(forest, [[0.0]])[0] == pytest.approx(7 * 0.31, rel=1e-15)
 
     def test_all_zero(self):
         ws = make_ws(np.zeros((3, 1)))
-        forest = Forest(ws, ForestPrior(n_trees=5, zeta=1.0, grids=ws.grids))
+        forest = Forest(ws, ForestPrior(n_trees=5, zeta=1.0))
         assert packed_predict(forest, [[0.0]])[0] == 0.0
 
     def test_matches_independent_sum(self, rng):
         U = rng.standard_normal((30, 3))
         ws = make_ws(U)
-        forest = Forest(ws, ForestPrior(n_trees=5, zeta=2.0, grids=ws.grids))
+        forest = Forest(ws, ForestPrior(n_trees=5, zeta=2.0))
         resid = rng.standard_normal(30)
         for _ in range(30):
             backfit_sweep(forest, resid, 0.8, rng)
@@ -275,7 +275,7 @@ class TestMovePath:
 
     @staticmethod
     def grown_forest(rng, ws, n_trees=6, sweeps=30):
-        prior = ForestPrior(n_trees=n_trees, alpha=0.95, beta=0.5, zeta=2.0, grids=ws.grids)
+        prior = ForestPrior(n_trees=n_trees, alpha=0.95, beta=0.5, zeta=2.0)
         forest = Forest(ws, prior)
         y = ws.U[:, 1] - ws.U[:, 3] + rng.normal(0, 0.3, ws.n)
         for _ in range(sweeps):
@@ -384,7 +384,7 @@ class TestPriorSampling:
         U = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         ws = make_ws(U)
         prior = ForestPrior(alpha=0.7, beta=0.8, n_trees=1, k=2.0,
-                            zeta=2.0, grids=ws.grids)
+                            zeta=2.0)
         rng = np.random.default_rng(77)
         tree = Tree(ws)
         resid = np.zeros(4)
@@ -445,7 +445,7 @@ class TestMhCorrectness:
         U = np.array([[0.0], [0.0], [1.0], [1.0]])
         ws = make_ws(U)
         prior = ForestPrior(alpha=0.6, beta=1.0, n_trees=1, k=2.0,
-                            zeta=2.0, grids=ws.grids)
+                            zeta=2.0)
         r = np.array([-1.0, -0.4, 0.5, 0.9])
         sigma = 1.0
         pi0, pi1 = enumerate_two_state_posterior(r, sigma, prior, ws)
@@ -494,7 +494,7 @@ class TestBackfit:
     def test_single_tree_running_residual_identity(self, rng):
         U = rng.standard_normal((10, 2))
         ws = make_ws(U)
-        prior = ForestPrior(n_trees=1, zeta=1.0, grids=ws.grids)
+        prior = ForestPrior(n_trees=1, zeta=1.0)
         forest = Forest(ws, prior)
         y = rng.standard_normal(10)
         backfit_sweep(forest, y, 1.0, rng)
@@ -504,7 +504,7 @@ class TestBackfit:
     def test_zero_response_supnorm_shrinks(self, rng):
         U = rng.standard_normal((25, 2))
         ws = make_ws(U)
-        prior = ForestPrior(n_trees=10, k=20.0, zeta=0.5, grids=ws.grids)  # tiny leaf prior
+        prior = ForestPrior(n_trees=10, k=20.0, zeta=0.5)  # tiny leaf prior
         forest = Forest(ws, prior)
         # displace the fit by hand, then let zero-response sweeps shrink it
         for t in forest.trees:
@@ -523,7 +523,7 @@ class TestBackfit:
     def test_cache_consistency_and_no_empty_leaves(self, rng):
         U = rng.standard_normal((40, 3))
         ws = make_ws(U)
-        prior = ForestPrior(n_trees=15, zeta=2.0, grids=ws.grids)
+        prior = ForestPrior(n_trees=15, zeta=2.0)
         forest = Forest(ws, prior)
         y = U[:, 0] + rng.normal(0, 0.3, 40)
         for _ in range(50):
@@ -539,7 +539,7 @@ class TestBackfit:
     def test_acceptance_stats_populated(self, rng):
         U = rng.standard_normal((30, 2))
         ws = make_ws(U)
-        prior = ForestPrior(n_trees=10, zeta=2.0, grids=ws.grids)
+        prior = ForestPrior(n_trees=10, zeta=2.0)
         forest = Forest(ws, prior)
         y = U[:, 0] + rng.normal(0, 0.3, 30)
         for _ in range(100):
@@ -580,7 +580,7 @@ class TestPackedForest:
         ws = make_ws(rng.standard_normal((12, 2)))
         packed = []
         for n_trees in (3, 1):
-            forest = Forest(ws, ForestPrior(n_trees=n_trees, zeta=1.0, grids=ws.grids))
+            forest = Forest(ws, ForestPrior(n_trees=n_trees, zeta=1.0))
             backfit_sweep(forest, rng.standard_normal(12), 1.0, rng)
             packed.append(pack_forest(forest))
         empty = np.zeros((0, 0))
