@@ -112,8 +112,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# dataclass fields set from the data, by calibration or by the machine, never from YAML
-_NOT_FROM_YAML = frozenset({"sigma_tau_sq", "zeta", "spill_dir"})
+# dataclass fields set from the data or by calibration, never from YAML
+_NOT_FROM_YAML = frozenset({"sigma_tau_sq", "zeta"})
 
 
 def _yaml_keys(cls) -> set[str]:

@@ -313,7 +313,11 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     """Censored lognormal MLE of ``ly ~ Normal(X beta, sigma^2)``.
 
     Newton iteration on ``(beta, log sigma)`` with analytic gradient and
-    Hessian; censored rows contribute the upper-tail log-probability.
+    Hessian; censored rows contribute the upper-tail log-probability. The
+    log-likelihood and its gradient are sums over the n rows, so their
+    rounding error grows with n, and so do both tests against it: a damped
+    step may lower the log-likelihood by 1e-12 per row, and the iteration
+    stops at a gradient norm below ``tol`` or 1e-14 per row, the larger.
 
     Returns
     -------
@@ -332,7 +336,9 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     unc = delta == 1
     if not unc.any():
         raise NumericError("likelihood unbounded: every observation is censored")
-    p = X.shape[1]
+    n, p = X.shape
+    gtol = max(tol, 1e-14 * n)
+    slack = 1e-12 * n
 
     beta, *_ = np.linalg.lstsq(X[unc], ly[unc], rcond=None)
     resid0 = ly[unc] - X[unc] @ beta
@@ -345,7 +351,7 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     for _ in range(max_iter):
         g, H = _score_and_hessian(beta, eta, ly, unc, X)
         gnorm = float(np.linalg.norm(g))
-        if gnorm < tol:
+        if gnorm < gtol:
             break
         try:
             step = np.linalg.solve(H, -g)
@@ -355,13 +361,14 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
             # Hessian not usable (singular or not negative definite at this
             # point); fall back to a unit-norm ascent step
             step = g / max(1.0, float(np.linalg.norm(g)))
-        # damped step: halve until the log-likelihood does not decrease
+        # damped step: halve until the log-likelihood does not decrease by
+        # more than its rounding error
         scale = 1.0
         for _half in range(60):
             beta_new = beta + scale * step[:p]
             eta_new = max(eta + scale * step[p], eta_floor)
             ll_new = _censored_lognormal_loglik(beta_new, eta_new, ly, delta, X)
-            if ll_new >= ll - 1e-12:
+            if ll_new >= ll - slack:
                 break
             scale *= 0.5
         beta, eta, ll = beta_new, eta_new, ll_new

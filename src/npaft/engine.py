@@ -24,7 +24,6 @@ import math
 import mmap
 import multiprocessing
 import os
-import tempfile
 import threading
 import warnings
 import zipfile
@@ -64,8 +63,6 @@ class FitConfig:
     keep_forests: bool = False
     max_split_points: int = 100
     calibration_draws: int = 1_000_000
-    memory_budget_mb: float = 4096.0
-    spill_dir: str | None = None
 
     def __post_init__(self):
         if self.seed is None:
@@ -219,31 +216,18 @@ def _build_grids(U: np.ndarray, max_points: int) -> list[np.ndarray]:
     return [split_point_grid(U[:, k], max_points) for k in range(U.shape[1])]
 
 
-def _shared(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """A zeroed array in anonymous shared memory, so rows that a forked chain
-    worker writes are the parent's rows too."""
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
-    return np.frombuffer(buf, dtype, count).reshape(shape)
-
-
-def _draw_store(total: int, n: int, H: int, budget_mb: float, spill_dir: str | None
-                ) -> tuple[dict[str, np.ndarray], tempfile.TemporaryDirectory | None]:
-    """Zeroed draw columns by name, in memory shared with forked chain
-    workers, or in disk-backed memmaps when together they exceed the memory
-    budget. The spill directory is returned too (None when nothing spilled)
-    and must outlive the columns."""
+def _draw_store(total: int, n: int, H: int) -> dict[str, np.ndarray]:
+    """Zeroed draw columns by name, each in anonymous shared memory, so rows
+    that a forked chain worker writes are the parent's rows too."""
     sizes = {"n": n, "H": H}
-    specs = [(c.name, (total, *(sizes.get(s, s) for s in c.metadata["shape"])),
-              c.metadata["dtype"]) for c in _COLUMNS]
-    nbytes = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in specs)
-    if nbytes <= budget_mb * 2 ** 20:
-        return {name: _shared(shape, dtype) for name, shape, dtype in specs}, None
-    tmpdir = tempfile.TemporaryDirectory(dir=spill_dir, prefix="npaft-spill-")
-    return {name: np.lib.format.open_memmap(Path(tmpdir.name) / f"{name}.npy", mode="w+",
-                                            dtype=dtype, shape=shape)
-            for name, shape, dtype in specs}, tmpdir
+    store = {}
+    for c in _COLUMNS:
+        shape = (total, *(sizes.get(s, s) for s in c.metadata["shape"]))
+        dtype = c.metadata["dtype"]
+        count = math.prod(shape)
+        buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+        store[c.name] = np.frombuffer(buf, dtype, count).reshape(shape)
+    return store
 
 
 def _check_finite(iteration: int, **named) -> None:
@@ -441,8 +425,7 @@ def fit(data: EncodedDataset, config: FitConfig,
     U = np.column_stack([data_tr.a.astype(float), data_tr.X])
     grids = _build_grids(U, config.max_split_points)
     prior = replace(config.prior, zeta=4.0 * transform.sigma_aft)
-    store, spill = _draw_store(config.chains * config.draws_per_chain, data_tr.n, hyper.H,
-                               config.memory_budget_mb, config.spill_dir)
+    store = _draw_store(config.chains * config.draws_per_chain, data_tr.n, hyper.H)
     job = _ChainJob(config=config, hyper=hyper, prior=prior, transform=transform,
                     U=U, grids=grids, delta=data_tr.delta, log_y_tr=np.log(data_tr.y),
                     seqs=seqs[1:], store=store, trace_hook=trace_hook)
@@ -456,10 +439,8 @@ def fit(data: EncodedDataset, config: FitConfig,
 
     forests = [pf for chain_forests, _ in results for pf in chain_forests] \
         if config.keep_forests else None
-    draws = PosteriorDraws(**store, transform=transform, config=config.to_jsonable(),
-                           sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
-    draws._spill = spill  # keep any spill files alive with the draws
-    return draws
+    return PosteriorDraws(**store, transform=transform, config=config.to_jsonable(),
+                          sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
 
 
 def predict_m(draws: PosteriorDraws, a: int, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import multiprocessing
 import re
 import warnings
@@ -12,11 +13,12 @@ from npaft.bench import MetricRow, ResidualFamily, SimScenario
 from npaft.engine import FitConfig
 from npaft.forest import ForestPrior
 from npaft.mixture import CdpHyper
+from conftest import make_dataset
 from test_engine import needs_pool
 
 
 class TestRunReplication:
-    def test_fit_config_carried_over_whole(self, monkeypatch, tmp_path):
+    def test_fit_config_carried_over_whole(self, monkeypatch):
         seen = []
         real_fit = bench.fit
 
@@ -31,13 +33,73 @@ class TestRunReplication:
         fit_config = FitConfig(seed=1, iterations=30, burn_in=20,
                                prior=ForestPrior(n_trees=5), hyper=CdpHyper(H=10),
                                calibration_draws=5_000, keep_forests=True,
-                               memory_budget_mb=0.0001, spill_dir=str(tmp_path))
+                               max_split_points=7)
         bench.run_replication(scenario, fit_config, np.random.SeedSequence(3))
         (cfg,) = seen
-        assert cfg.spill_dir == str(tmp_path)
+        assert cfg.max_split_points == 7
         assert cfg.keep_forests is False
         # only the seed and keep_forests differ from the caller's config
         assert dataclasses.replace(cfg, seed=1, keep_forests=True) == fit_config
+
+
+class TestResidualFamilies:
+    # Monte Carlo where the fourth moment is finite: the sample mean within
+    # five standard errors of 0, the sample variance within five of the target
+    @pytest.mark.parametrize("family", [
+        ResidualFamily("normal", variance=2.5),
+        ResidualFamily("gumbel", variance=2.5),
+        ResidualFamily("std-gamma", variance=2.5),
+        ResidualFamily("t-mixture", variance=2.5, t_df=9.0, t_tail_weight=0.1),
+    ], ids=lambda f: f.tag)
+    def test_mean_zero_and_target_variance_by_monte_carlo(self, family):
+        w = bench.gen_residuals(family, 1_000_000, np.random.default_rng(11))
+        v = w.var()
+        m4 = np.mean((w - w.mean()) ** 4)
+        assert abs(w.mean()) < 5 * math.sqrt(v / w.size)
+        assert abs(v - family.variance) < 5 * math.sqrt((m4 - v * v) / w.size)
+
+    @pytest.mark.parametrize("t_df", [3.0, 4.0])
+    def test_heavy_tailed_t_mixture_by_closed_form(self, t_df):
+        # no finite fourth moment, so read the law off the draws: replay the
+        # generator's component labels and t variates, recover the scale and
+        # the three locations, and take the mixture's moments in closed form
+        family = ResidualFamily("t-mixture", variance=2.5, t_df=t_df, t_tail_weight=0.2)
+        n = 1000
+        w = bench.gen_residuals(family, n, np.random.default_rng(11))
+        replay = np.random.default_rng(11)
+        comp = replay.choice(3, size=n, p=[0.2, 0.6, 0.2])
+        t = replay.standard_t(t_df, n)
+        s = np.median(w[comp == 1] / t[comp == 1])
+        locs = [np.median((w - s * t)[comp == c]) for c in range(3)]
+        assert all(np.allclose(w[comp == c], locs[c] + s * t[comp == c], rtol=0, atol=1e-12)
+                   for c in range(3))
+        mean = 0.2 * locs[0] + 0.6 * locs[1] + 0.2 * locs[2]   # E t = 0
+        var = 0.2 * locs[0] ** 2 + 0.6 * locs[1] ** 2 + 0.2 * locs[2] ** 2 - mean ** 2 \
+            + s ** 2 * t_df / (t_df - 2)
+        assert mean == pytest.approx(0.0, abs=1e-12)
+        assert var == pytest.approx(2.5, rel=1e-12)
+
+
+class TestParamAftBaseline:
+    @pytest.mark.parametrize("interactions", [False, True])
+    def test_uncensored_fit_is_least_squares(self, interactions):
+        data = make_dataset(n=50, p=2, seed=5)
+        a = data.a.astype(float)
+        design = np.column_stack([np.ones(data.n), a, data.X]
+                                 + ([a[:, None] * data.X] if interactions else []))
+        ly = np.log(data.y)
+        beta, *_ = np.linalg.lstsq(design, ly, rcond=None)
+        sigma = math.sqrt(np.sum((ly - design @ beta) ** 2) / data.n)
+        got = bench.param_aft_baseline(data, interactions)
+        np.testing.assert_allclose(got["beta"], beta, rtol=1e-10, atol=1e-12)
+        assert got["sigma"] == pytest.approx(sigma, rel=1e-12)
+        assert got["treatment_coef"] == pytest.approx(beta[1], rel=1e-10)
+        # the inverse information of beta at the least-squares optimum
+        cov = sigma ** 2 * np.linalg.inv(design.T @ design)
+        assert got["treatment_se"] == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-8)
+        theta = beta[1] + (data.X @ beta[4:] if interactions else 0.0)
+        np.testing.assert_allclose(got["theta_hat"], np.broadcast_to(theta, (data.n,)),
+                                   rtol=1e-10, atol=1e-12)
 
 
 class TestKaplanMeier:

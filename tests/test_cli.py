@@ -1,4 +1,5 @@
 import csv
+import json
 import warnings
 
 import numpy as np
@@ -90,8 +91,7 @@ def test_fit_reruns_are_byte_identical(trial, tmp_path):
 # The keys each YAML level accepted when they were listed by hand in cli.py.
 ACCEPTED_KEYS = [
     (FitConfig, {"iterations", "burn_in", "thin", "chains", "seed", "keep_forests",
-                 "max_split_points", "calibration_draws", "memory_budget_mb",
-                 "hyper", "prior"}),
+                 "max_split_points", "calibration_draws", "hyper", "prior"}),
     (CdpHyper, {"psi1", "psi2", "nu", "q", "H"}),
     (ForestPrior, {"alpha", "beta", "n_trees", "k"}),
     (SimScenario, {"kind", "n", "family", "censoring", "name", "coefs",
@@ -191,6 +191,37 @@ def test_summarize_reruns_are_byte_identical(run_dir):
         assert result.exit_code == 0, result.output
     for name in ("ite.csv", "effect_cdf.csv", "effect_density.csv", "summary.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# command -> (its arguments after the run directory and the fit's trial
+# files, or the crossval config; the data files it writes)
+RERUNS = {
+    "survcurve": (lambda run, trial, cv: [run, "--arm", 1, "--patient", 3,
+                                          "--times", "0.5:20:10"], ["survival.csv"]),
+    "pdp": (lambda run, trial, cv: [run, *trial, "--covariate", "x0", "--grid-points", 4,
+                                    "--draw-stride", 7], ["partial_dependence.csv"]),
+    "crossval": (lambda run, trial, cv: [*trial, "--config", cv, "--folds", 2, "--seed", 5],
+                 ["cv.csv"]),
+    "calibrate": (lambda run, trial, cv: ["--sigma-w", 1.2, "--draws", 20_000, "--seed", 4],
+                  ["calibration.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(RERUNS))
+def test_data_outputs_of_reruns_are_byte_identical(run_dir, small_data, command):
+    arguments, files = RERUNS[command]
+    args = arguments(run_dir, write_trial(run_dir, small_data),
+                     write_yaml(run_dir / "cv.yaml", {"fit": TINY_FIT}))
+    outs = [run_dir / f"{command}1", run_dir / f"{command}2"]
+    for out in outs:
+        result = invoke(command, *args, "--out", out)
+        assert result.exit_code == 0, result.output
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in outs]
+    for doc in manifests:
+        assert doc.pop("started") <= doc.pop("finished")
+    assert manifests[0] == manifests[1]
 
 
 def test_empty_yaml_level_reads_as_absent(trial, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from npaft import (ColumnSpec, CovariateSchema, DataError, EncodedDataset,
-                   NumericError, ResponseTransform, fit_intercept_lognormal_aft,
+                   NumericError, ResponseTransform, bench, fit_intercept_lognormal_aft,
                    load_dataset, split_point_grid, transform_responses)
 from npaft.data import _censored_lognormal_loglik, _score_and_hessian, \
     fit_linear_lognormal_aft
@@ -158,6 +158,23 @@ class TestInterceptFit:
         assert t.sigma_aft == pytest.approx(s2, abs=1e-3)
         # the Newton optimum must dominate the refined grid
         assert _censored_loglik(t.mu_aft, t.sigma_aft, ly, delta) >= best - 1e-9
+
+
+    def test_large_heavily_censored_cohort_converges(self):
+        # 20,000 rows, 54% censored: perfbench's sweep-n20k batch cohort
+        # 1 of seed 5. Its log-likelihood is of size 1e4, so near the
+        # optimum rounding moves it by more than 1e-12 between Newton
+        # iterates: a fixed acceptance slack of 1e-12 rejects the full step
+        # there and the fit runs out of iterations.
+        rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0, 1)))
+        _, sim = bench.gen_friedman_scenario(24_000, rng)
+        bench.apply_censoring(sim, "heavy", rng)
+        n = 20_000
+        data = EncodedDataset.from_arrays(sim.y[:n], sim.delta[:n], sim.a[:n], sim.X[:n])
+        t = fit_intercept_lognormal_aft(data)
+        g, _ = _score_and_hessian(np.array([t.mu_aft]), math.log(t.sigma_aft),
+                                  np.log(data.y), data.delta == 1, np.ones((n, 1)))
+        assert np.linalg.norm(g) < 1e-14 * n
 
 
 class TestScoreAndHessian:

@@ -26,9 +26,12 @@ def small_config(**overrides):
 # replaced: the rewrite must keep every random draw and every bit. The values
 # depend on numpy's random streams and float kernels (recorded with numpy
 # 2.4), so a numpy upgrade may change them without any fault in the sampler.
+# They were taken again when FitConfig lost memory_budget_mb and spill_dir:
+# the header's config echo no longer lists them, and every draw column kept
+# its dtype and bytes.
 PINNED_DIGESTS = {
-    1: "47ce1a5000ed34bb3dd92f27e5365caf9a1c0a8d3559585a256ec9fbdb23259f",
-    2: "d622eebda1aae2a9837a338d09d32f2bcdc8995b6e480d466ff9fa4fa888b61d",
+    1: "c828b1b90e904082039d095e9a13b82e83980f41c5dae7bd1b5907a3c234eed9",
+    2: "cd1e45c35e8b4b50b7647daee556ad6a6c1e3078f5e0a9e2bfd723a6550f5440",
 }
 
 
@@ -217,14 +220,6 @@ class TestParallelChains:
         assert_same_forests(pooled.forests, in_process.forests)
         assert multiprocessing.active_children() == []
 
-    def test_spilled_store_matches_in_memory_digest(self, small_data, tmp_path):
-        spilled = fit(small_data, small_config(chains=2, memory_budget_mb=0.0001,
-                                               spill_dir=str(tmp_path)))
-        assert isinstance(spilled.m0, np.memmap)
-        # the header echoes the config; give it the in-memory run's budget
-        spilled.config = small_config(chains=2).to_jsonable()
-        assert digest(spilled) == PINNED_DIGESTS[2]
-
     def test_worker_numeric_error_reaches_caller(self, small_data, monkeypatch):
         original = engine.update_mass_and_scale
 
@@ -365,16 +360,3 @@ class TestPersistence:
         draws.save(a)
         draws.save(b)
         assert a.read_bytes() == b.read_bytes()
-
-    def test_memmap_spill_equivalence(self, small_data, tmp_path):
-        in_mem = fit(small_data, small_config())
-        spilled = fit(small_data, small_config(memory_budget_mb=0.0001,
-                                               spill_dir=str(tmp_path)))
-        assert isinstance(spilled.m0, np.memmap)
-        for name in ("m0", "m1", "pi", "tau", "sigma", "M"):
-            assert np.array_equal(np.asarray(getattr(in_mem, name)),
-                                  np.asarray(getattr(spilled, name))), name
-        # two spilled runs with identical config are byte-identical
-        again = fit(small_data, small_config(memory_budget_mb=0.0001,
-                                             spill_dir=str(tmp_path)))
-        assert digest(spilled) == digest(again)

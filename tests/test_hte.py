@@ -1,12 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from npaft import (ColumnSpec, CovariateSchema, EncodedDataset, PosteriorDraws,
+                   ResponseTransform, engine, fit)
 from npaft import stdnorm as norm
-from npaft.errors import ConfigError
+from npaft.errors import ConfigError, DataError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
-                       proportion_benefiting)
+                       proportion_benefiting, survival_curve, virtual_twins_rank)
+from conftest import make_dataset
+from test_engine import small_config
 
 
 def bandwidth(values):
@@ -200,3 +205,110 @@ class TestAllocate:
     def test_unknown_rule_is_a_config_error(self):
         with pytest.raises(ConfigError, match="unknown allocation rule"):
             allocate(IteDraws(BENEFIT_THETA, "log"), "coin")
+
+
+def Phi(z):
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def hand_draws(**columns):
+    """Posterior draws with the given columns; every other column is zeros."""
+    D = len(columns["sigma"])
+    base = {c.name: np.zeros(D) for c in engine._COLUMNS}
+    base.update({k: np.asarray(v, dtype=float) for k, v in columns.items()})
+    return PosteriorDraws(**base, transform=ResponseTransform(0.0, 1.0), config={},
+                          sigma_tau_sq=1.0)
+
+
+class TestSurvivalCurve:
+    # Two draws, H = 2, at log times 0, 1 and 2. Draw 0: m = 1, sigma = 1,
+    # tau = (-1, 1), pi = (1/2, 1/2), so z = (log t, log t - 2). Draw 1: m = 0,
+    # sigma = 2, tau = (0, 2), pi = (1/4, 3/4), so z = (log t / 2, log t / 2 - 1).
+    DRAWS = dict(m1=[[1.0, 9.0], [0.0, 9.0]], m0=[[5.0, 5.0], [5.0, 5.0]],
+                 sigma=[1.0, 2.0], tau=[[-1.0, 1.0], [0.0, 2.0]],
+                 pi=[[0.5, 0.5], [0.25, 0.75]])
+    CURVES = np.array([
+        [1 - 0.5 * Phi(0) - 0.5 * Phi(-2), 1 - 0.5 * Phi(1) - 0.5 * Phi(-1),
+         1 - 0.5 * Phi(2) - 0.5 * Phi(0)],
+        [1 - 0.25 * Phi(0) - 0.75 * Phi(-1), 1 - 0.25 * Phi(0.5) - 0.75 * Phi(-0.5),
+         1 - 0.25 * Phi(1) - 0.75 * Phi(0)],
+    ])
+
+    def test_hand_computed_table_and_bands(self):
+        times = np.exp([0.0, 1.0, 2.0])
+        got = survival_curve(hand_draws(**self.DRAWS), 1, times, patient=0)
+        assert np.array_equal(got.times, times)
+        np.testing.assert_allclose(got.mean, self.CURVES.mean(axis=0), rtol=1e-12)
+        # the 2.5% and 97.5% quantiles of two values sit 1/40 of the way in
+        lo, hi = self.CURVES.min(axis=0), self.CURVES.max(axis=0)
+        np.testing.assert_allclose(got.lower, lo + (hi - lo) / 40, rtol=1e-12)
+        np.testing.assert_allclose(got.upper, hi - (hi - lo) / 40, rtol=1e-12)
+
+    def test_control_arm_reads_m0(self):
+        draws = hand_draws(**{**self.DRAWS, "m0": self.DRAWS["m1"],
+                              "m1": self.DRAWS["m0"]})
+        got = survival_curve(draws, 0, np.exp([0.0, 1.0, 2.0]), patient=0)
+        np.testing.assert_allclose(got.mean, self.CURVES.mean(axis=0), rtol=1e-12)
+
+    @pytest.mark.parametrize("patient, x", [(None, None), (0, np.zeros(3))])
+    def test_needs_exactly_one_of_patient_and_covariates(self, patient, x):
+        with pytest.raises(ConfigError, match="exactly one"):
+            survival_curve(hand_draws(**self.DRAWS), 1, [1.0, 2.0], patient=patient, x=x)
+
+    def test_covariates_of_a_training_row_match_its_patient_index(self, small_data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            draws = fit(small_data, small_config(keep_forests=True))
+        times = np.linspace(0.5, 30.0, 12)
+        for a in (0, 1):
+            for i in (0, 7, 59):
+                by_index = survival_curve(draws, a, times, patient=i)
+                by_x = survival_curve(draws, a, times, x=small_data.X[i])
+                for name in ("mean", "lower", "upper"):
+                    np.testing.assert_allclose(getattr(by_x, name), getattr(by_index, name),
+                                               rtol=0, atol=1e-9, err_msg=name)
+
+
+def ranking_data(n=12, seed=3):
+    """Age (continuous), sex (binary) and a three-level stage, one-of-K encoded."""
+    g = np.random.default_rng(seed)
+    schema = CovariateSchema([ColumnSpec("age", "continuous"), ColumnSpec("sex", "binary"),
+                              ColumnSpec("stage", "categorical", ("I", "II", "III"))])
+    stage = np.arange(n) % 3
+    X = np.column_stack([g.normal(60.0, 8.0, n), np.arange(n) // 2 % 2,
+                         np.eye(3)[stage]])
+    return EncodedDataset(np.ones(n), np.ones(n, int), np.arange(n) % 2, X, schema)
+
+
+RANK_THETA = np.random.default_rng(4).normal(0.3, 0.5, (5, 12))
+
+
+class TestVirtualTwinsRank:
+    def test_matches_weighted_least_squares_built_by_hand(self):
+        data, theta = ranking_data(), RANK_THETA
+        got = virtual_twins_rank(IteDraws(theta, "log"), data)
+        ranked = dict(got)
+
+        X = data.X[:, [0, 1, 3, 4]]          # stage=I is the reference level
+        Z = (X - X.mean(axis=0)) / X.std(axis=0)
+        sw = 1.0 / theta.std(axis=0, ddof=1)  # square root of the weights
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(data.n), Z]) * sw[:, None],
+                                   theta.mean(axis=0) * sw, rcond=None)
+        want = dict(zip(["age", "sex", "stage=II", "stage=III"], coef[1:]))
+        assert ranked.keys() == {*want, "stage=I"}
+        assert ranked["stage=I"] == 0.0
+        for name, value in want.items():
+            assert ranked[name] == pytest.approx(value, rel=1e-10, abs=1e-12), name
+        assert [abs(v) for _, v in got] == sorted((abs(v) for _, v in got), reverse=True)
+
+    def test_constant_column_is_a_data_error(self):
+        data = ranking_data()
+        data.X[:, 1] = 1.0
+        with pytest.raises(DataError, match=r"constant column\(s\) \['sex'\]"):
+            virtual_twins_rank(IteDraws(RANK_THETA, "log"), data)
+
+    def test_collinear_columns_are_a_data_error(self):
+        data = ranking_data()
+        data.X[:, 0] = 50.0 + 10.0 * data.X[:, 1]   # age determined by sex
+        with pytest.raises(DataError, match="collinear"):
+            virtual_twins_rank(IteDraws(RANK_THETA, "log"), data)
