@@ -737,12 +737,37 @@ class PackedForest:
     def n_trees(self) -> int:
         return self.offsets.shape[0] - 1
 
+    def arm_trees(self) -> PackedForest:
+        """The trees that split on the arm (column 0) at some node, in order.
+
+        Any other tree gives a row the same fit in both arms, so it cancels
+        from a treated-minus-control difference. A tree's nodes are one
+        contiguous block and its children are forest-wide indices, so the
+        kept blocks are renumbered by one shift per tree."""
+        sizes = np.diff(self.offsets)
+        tree_of = np.repeat(np.arange(self.n_trees), sizes)
+        kept = np.zeros(self.n_trees, dtype=bool)
+        kept[tree_of[self.var == 0]] = True
+        node = kept[tree_of]
+        offsets = np.concatenate([[0], np.cumsum(sizes[kept])]).astype(np.int32)
+        shift = np.repeat(self.offsets[:-1][kept] - offsets[:-1], sizes[kept])
+        var = self.var[node]
+        leaf = var < 0
+        left = np.where(leaf, -1, self.left[node] - shift).astype(np.int32)
+        right = np.where(leaf, -1, self.right[node] - shift).astype(np.int32)
+        return PackedForest(var, self.cut[node], left, right, self.value[node],
+                            offsets, self.n_cols)
+
+    def check_width(self, n_cols: int) -> None:
+        """``DataError`` unless rows of ``n_cols`` columns fit this forest."""
+        if n_cols != self.n_cols:
+            raise DataError(f"rows have {n_cols - 1} covariates, the fit had "
+                            f"{self.n_cols - 1} (each row is the arm, then the covariates)")
+
     def predict_matrix(self, U: np.ndarray) -> np.ndarray:
         """Ensemble fit for every row of ``U``."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if U.shape[1] != self.n_cols:
-            raise DataError(f"rows have {U.shape[1] - 1} covariates, the fit had "
-                            f"{self.n_cols - 1} (each row is the arm, then the covariates)")
+        self.check_width(U.shape[1])
         cols = np.ascontiguousarray(U.T)
         rows = np.arange(U.shape[0])
         var, cut, left, right = (a.tolist() for a in (self.var, self.cut, self.left, self.right))

@@ -28,6 +28,13 @@ BENEFIT_BANDS = ((0.99, 1.0), (0.95, 0.99), (0.75, 0.95), (0.25, 0.75), (0.0, 0.
 SURVIVAL_CHUNK = 256  # draws per block of survival_curve's draws x times x H array
 
 
+def _tail(level: float) -> float:
+    """Probability outside each end of a central interval of ``level``."""
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be strictly between 0 and 1, got {level}")
+    return (1.0 - level) / 2.0
+
+
 @dataclass
 class IteDraws:
     """Per-draw, per-patient treatment effects."""
@@ -47,7 +54,7 @@ class IteDraws:
         return self.values.mean(axis=0)
 
     def intervals(self, level: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
-        lo = (1.0 - level) / 2.0
+        lo = _tail(level)
         return (np.quantile(self.values, lo, axis=0),
                 np.quantile(self.values, 1.0 - lo, axis=0))
 
@@ -113,9 +120,16 @@ def default_bandwidth(draws: IteDraws) -> float:
     ``bw.nrd0`` does: to sigma, then to the absolute first effect, then to
     1, each taken only if it is not negligible itself.
     """
-    theta = draws.values
+    return _bandwidth(draws.values, draws.values)
+
+
+def _bandwidth(theta: np.ndarray, rows: np.ndarray) -> float:
+    """``default_bandwidth`` with the quartiles taken from ``rows``, which
+    holds each row of ``theta`` in any order: the order statistics, and so
+    the bits, are the same, and on rows sorted already they cost less. The
+    sd is taken from ``theta``, whose summation order sets its bits."""
     sd = float(theta.std(axis=1, ddof=1).mean())
-    q75, q25 = np.percentile(theta, [75, 25], axis=1)
+    q75, q25 = np.percentile(rows, [75, 25], axis=1)
     iqr = float((q75 - q25).mean())
     n = theta.shape[1]
     negligible = 1e-8 * float(np.ptp(theta))
@@ -140,19 +154,19 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 1 or np.any(np.diff(grid) <= 0):
         raise DataError("grid must be strictly increasing")
+    alpha = _tail(level)
+    theta = draws.values
+    theta_sorted = np.sort(theta, axis=1)
     if bandwidth is None:
-        bandwidth = default_bandwidth(draws)
+        bandwidth = _bandwidth(theta, theta_sorted)
     if not bandwidth > 0:
         raise NumericError(f"bandwidth must be positive, got {bandwidth}")
 
-    theta = draws.values
     n = theta.shape[1]
-    theta_sorted = np.sort(theta, axis=1)
     per_draw = np.empty((theta.shape[0], grid.shape[0]))
     for d_i in range(theta.shape[0]):
         per_draw[d_i] = np.searchsorted(theta_sorted[d_i], grid, side="right") / n
     cdf = per_draw.mean(axis=0)
-    alpha = (1.0 - level) / 2.0
     lo = np.quantile(per_draw, alpha, axis=0)
     hi = np.quantile(per_draw, 1.0 - alpha, axis=0)
 
@@ -191,6 +205,7 @@ def proportion_benefiting(draws: IteDraws,
     probability are computed from the same integer count, so their equality
     is exact.
     """
+    alpha = _tail(level)
     theta = draws.values
     zero = 1.0 if draws.scale == "ratio" else 0.0
     pos = theta > zero
@@ -201,7 +216,6 @@ def proportion_benefiting(draws: IteDraws,
     q_mean = float(int(counts_d.sum()) / (n_draws * n))
     p_hat = counts_i / n_draws
     p_hat_mean = float(int(counts_i.sum()) / (n_draws * n))
-    alpha = (1.0 - level) / 2.0
     q_eps = {}
     for eps in thresholds:
         cut = zero + float(eps)
@@ -265,6 +279,7 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
         raise DataError("times must be positive and strictly increasing")
     if (patient is None) == (x is None):
         raise ConfigError("give exactly one of patient index or covariate vector")
+    alpha = _tail(level)
     if patient is not None:
         m = draws.m1[:, patient] if a == 1 else draws.m0[:, patient]
         m = np.asarray(m)
@@ -280,7 +295,6 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
              - draws.tau[start:end, None, :]) / draws.sigma[start:end, None, None]
         curves[start:end] = 1.0 - np.einsum("dth,dh->dt", norm.cdf(z),
                                             draws.pi[start:end])
-    alpha = (1.0 - level) / 2.0
     mean = curves.mean(axis=0)
     if np.any(np.diff(mean) > 1e-10):
         raise NumericError("survival curve is not nonincreasing")
@@ -305,11 +319,22 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
 
     Per draw and grid value, every patient's covariate ``column`` is replaced
     by the grid value and the two-arm ensemble difference is averaged over
-    patients. Requires retained forests.
+    patients; every ``draw_stride``-th retained draw is used. Requires
+    retained forests.
+
+    Only the trees that split on the arm are routed (``arm_trees``): any
+    other tree gives a patient the same fit in both arms, so it cancels from
+    the difference, and a draw with no such tree gives exactly 0. Both arms
+    are routed in one call, on one matrix with the treated rows above the
+    control rows, in which only the pinned column changes between grid
+    values.
     """
     if draws.forests is None:
         raise DataError("forest checkpoints were not retained; "
                         "refit with keep_forests=True to enable partial dependence")
+    if draw_stride < 1:
+        raise ConfigError(f"draw stride must be at least 1, got {draw_stride}")
+    alpha = _tail(level)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 1:
         raise DataError("grid must be a 1-D array")
@@ -322,16 +347,21 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
                       "covariate range", RuntimeWarning)
 
     forests = draws.forests[::draw_stride]
+    if forests:
+        forests[0].check_width(data.p_enc + 1)
+    subs = [pf.arm_trees() for pf in forests]
     n = data.n
-    rho = np.empty((len(forests), grid.shape[0]))
-    X_mod = data.X.copy()
+    # Fortran order: predict_matrix's transpose of it needs no copy
+    U = np.empty((2 * n, data.p_enc + 1), order="F")
+    U[:n, 0], U[n:, 0] = 1.0, 0.0
+    U[:n, 1:], U[n:, 1:] = data.X, data.X
+    rho = np.zeros((len(subs), grid.shape[0]))
     for gi, z in enumerate(grid):
-        X_mod[:, column] = z
-        U1 = np.column_stack([np.ones(n), X_mod])
-        U0 = np.column_stack([np.zeros(n), X_mod])
-        for di, pf in enumerate(forests):
-            rho[di, gi] = float((pf.predict_matrix(U1) - pf.predict_matrix(U0)).mean())
-    alpha = (1.0 - level) / 2.0
+        U[:, column + 1] = z
+        for di, sub in enumerate(subs):
+            if sub.n_trees:
+                f = sub.predict_matrix(U)
+                rho[di, gi] = (f[:n] - f[n:]).mean()
     return PartialDependence(grid, rho.mean(axis=0),
                              np.quantile(rho, alpha, axis=0),
                              np.quantile(rho, 1.0 - alpha, axis=0),

@@ -299,3 +299,22 @@ def test_simulate_scenario_without_covariate_coefs_exits_with_config_error(tmp_p
     assert result.exit_code == EXIT_CONFIG, result.output
     assert f"scenario '{kind}/n20/none/normal'" in result.output
     assert "at least one covariate coefficient" in result.output
+
+
+@pytest.mark.parametrize("draw_stride", [0, -1])
+def test_pdp_draw_stride_below_one_exits_with_config_error(run_dir, small_data, draw_stride):
+    trial = write_trial(run_dir, small_data)
+    result = invoke("pdp", run_dir, *trial, "--covariate", "x0", "--draw-stride", draw_stride,
+                    "--out", run_dir / "pdp")
+    assert result.exit_code == EXIT_CONFIG == 4, result.output
+    assert "draw stride" in result.output
+
+
+@pytest.mark.parametrize("command", ["summarize", "survcurve", "pdp"])
+def test_level_outside_zero_one_exits_with_config_error(run_dir, small_data, command):
+    args = {"summarize": [run_dir],
+            "survcurve": RERUNS["survcurve"][0](run_dir, None, None),
+            "pdp": RERUNS["pdp"][0](run_dir, write_trial(run_dir, small_data), None)}[command]
+    result = invoke(command, *args, "--level", 1.5, "--out", run_dir / command)
+    assert result.exit_code == EXIT_CONFIG == 4, result.output
+    assert "level must be strictly between 0 and 1" in result.output

@@ -8,7 +8,7 @@ from npaft import (ConfigError, DataError, Forest, ForestPrior, Tree, TreeWorksp
                    backfit_sweep, draw_leaf_values, leaf_log_marginal,
                    mh_update_tree, split_prob)
 from npaft.data import split_point_grid
-from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP,
+from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP, PackedForest,
                           _log_lik_ratio, _propose_change, _propose_grow,
                           _propose_prune, _propose_swap, apply_move, leaf_sums,
                           pack_forest, route)
@@ -615,6 +615,59 @@ class TestPackedForest:
                     for leaf, rr in got:
                         assert np.all(np.diff(rr) > 0)
                         assert all(walk_from(t, node, probes[i]) == leaf for i in rr)
+
+
+def packed(trees, n_cols=3):
+    """A ``PackedForest`` from per-tree (var, cut, left, right, value) lists
+    whose child indices are already forest-wide."""
+    fields = [np.concatenate([np.asarray(t[i]) for t in trees]) for i in range(5)]
+    offsets = np.cumsum([0] + [len(t[0]) for t in trees])
+    return PackedForest(fields[0].astype(np.int32), fields[1].astype(float),
+                        fields[2].astype(np.int32), fields[3].astype(np.int32),
+                        fields[4].astype(float), offsets.astype(np.int32), n_cols)
+
+
+NAN = math.nan
+# nodes 0-2: x1 <= 0 ? 10 : 20, no arm split
+COVARIATE_TREE = ([1, -1, -1], [0.0, NAN, NAN], [1, -1, -1], [2, -1, -1], [0.0, 10.0, 20.0])
+# nodes 3-7: x2 <= 0.25 ? 1 : (arm <= 0.5 ? -0.5 : 1.5), the arm split below the root
+ARM_TREE = ([2, -1, 0, -1, -1], [0.25, NAN, 0.5, NAN, NAN], [4, -1, 6, -1, -1],
+            [5, -1, 7, -1, -1], [0.0, 1.0, 0.0, -0.5, 1.5])
+
+
+class TestArmTrees:
+    def test_keeps_the_arm_tree_with_children_shifted(self):
+        sub = packed([COVARIATE_TREE, ARM_TREE]).arm_trees()
+        assert sub.n_trees == 1 and sub.n_cols == 3
+        assert sub.var.dtype == sub.left.dtype == sub.offsets.dtype == np.int32
+        assert np.array_equal(sub.var, ARM_TREE[0])
+        assert np.array_equal(sub.cut, ARM_TREE[1], equal_nan=True)
+        assert np.array_equal(sub.left, [1, -1, 3, -1, -1])
+        assert np.array_equal(sub.right, [2, -1, 4, -1, -1])
+        assert np.array_equal(sub.value, ARM_TREE[4])
+        assert np.array_equal(sub.offsets, [0, 5])
+        U = np.array([[1, -1, 0.0], [0, -1, 0.0], [1, 1, 1.0], [0, 1, 1.0]])
+        assert np.array_equal(sub.predict_matrix(U), [1.0, 1.0, 1.5, -0.5])
+
+    def test_forest_with_no_arm_split_predicts_zeros(self):
+        sub = packed([COVARIATE_TREE]).arm_trees()
+        assert sub.n_trees == 0 and sub.var.shape == (0,)
+        assert np.array_equal(sub.predict_matrix(np.ones((4, 3))), np.zeros(4))
+
+    def test_matches_the_arm_difference_of_a_grown_forest(self, rng):
+        ws = mixed_workspace(rng)
+        forest = TestMovePath.grown_forest(rng, ws, n_trees=12, sweeps=60)
+        uses_arm = [t.uses_column(0) for t in forest.trees]
+        assert any(uses_arm) and not all(uses_arm)
+        pf = pack_forest(forest)
+        sub = pf.arm_trees()
+        assert sub.n_trees == sum(uses_arm)
+        probes = rng.standard_normal((40, ws.p))
+        U = np.vstack([probes, probes])
+        U[:40, 0], U[40:, 0] = 1.0, 0.0
+        full, arm = pf.predict_matrix(U), sub.predict_matrix(U)
+        np.testing.assert_allclose(arm[:40] - arm[40:], full[:40] - full[40:],
+                                   rtol=0, atol=1e-12)
 
 
 class TestPriorValidation:

@@ -9,9 +9,11 @@ from npaft import (ColumnSpec, CovariateSchema, EncodedDataset, PosteriorDraws,
 from npaft import stdnorm as norm
 from npaft.errors import ConfigError, DataError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
-                       proportion_benefiting, survival_curve, virtual_twins_rank)
+                       partial_dependence, proportion_benefiting, survival_curve,
+                       virtual_twins_rank)
 from conftest import make_dataset
 from test_engine import small_config
+from test_forest import COVARIATE_TREE, NAN, packed
 
 
 def bandwidth(values):
@@ -123,6 +125,14 @@ class TestEffectDistribution:
         oracle = all_effects_density(theta, grid, dist.bandwidth)
         np.testing.assert_allclose(dist.density, oracle, rtol=1e-12,
                                    atol=1e-13 / dist.bandwidth)
+
+    @pytest.mark.parametrize("case", ["tied", "continuous", "one_draw"])
+    def test_default_bandwidth_is_bit_identical(self, case):
+        # effect_distribution takes the quartiles from its own sorted rows
+        theta, _ = DENSITY_CASES[case]()
+        ite = IteDraws(theta, "log")
+        dist = effect_distribution(ite, np.linspace(-1.0, 1.0, 5))
+        assert dist.bandwidth == default_bandwidth(ite)
 
     def test_grid_points_with_no_effect_within_eight_bandwidths_get_zero(self):
         theta, bandwidth = _two_distant_clusters()
@@ -267,6 +277,123 @@ class TestSurvivalCurve:
                 for name in ("mean", "lower", "upper"):
                     np.testing.assert_allclose(getattr(by_x, name), getattr(by_index, name),
                                                rtol=0, atol=1e-9, err_msg=name)
+
+
+# Draw 0: a tree on x1 alone (it cancels) and x1 <= 0 ? 1 : (arm <= 0.5 ? -0.5 : 1.5),
+# so with x1 pinned at z every patient's effect is 0 for z <= 0 and 2 above.
+# Draw 1: arm <= 0.5 ? 0 : (x2 <= 0.5 ? 0.25 : -0.5), effects (0.25, -0.5, -0.5)
+# for x2 = (0, 1, 2) whatever z, mean -0.25. Draw 2: no arm split, so 0.
+PDP_FORESTS = (
+    [COVARIATE_TREE, ([1, -1, 0, -1, -1], [0.0, NAN, 0.5, NAN, NAN], [4, -1, 6, -1, -1],
+                      [5, -1, 7, -1, -1], [0.0, 1.0, 0.0, -0.5, 1.5])],
+    [([0, -1, 2, -1, -1], [0.5, NAN, 0.5, NAN, NAN], [1, -1, 3, -1, -1],
+      [2, -1, 4, -1, -1], [0.0, 0.0, 0.0, 0.25, -0.5])],
+    [COVARIATE_TREE],
+)
+PDP_DATA = EncodedDataset.from_arrays(np.ones(3), np.ones(3, int), np.array([0, 1, 0]),
+                                      np.array([[-1.0, 0.0], [0.5, 1.0], [1.0, 2.0]]))
+PDP_GRID = np.array([-1.0, 1.0, 3.0])  # 3 lies beyond the observed x1
+
+
+def pdp_hand_draws(*forests):
+    draws = hand_draws(sigma=np.ones(len(forests)))
+    draws.forests = [packed(trees) for trees in forests]
+    return draws
+
+
+def all_trees_rho(draws, data, column, grid, draw_stride):
+    """Per draw and grid value, the mean over patients of every tree's
+    treated-minus-control fit: the loop arm-only routing replaced, kept as
+    its oracle."""
+    forests = draws.forests[::draw_stride]
+    n = data.n
+    rho = np.empty((len(forests), grid.shape[0]))
+    X_mod = data.X.copy()
+    for gi, z in enumerate(grid):
+        X_mod[:, column] = z
+        U1 = np.column_stack([np.ones(n), X_mod])
+        U0 = np.column_stack([np.zeros(n), X_mod])
+        for di, pf in enumerate(forests):
+            rho[di, gi] = float((pf.predict_matrix(U1) - pf.predict_matrix(U0)).mean())
+    return rho
+
+
+@pytest.fixture(scope="module")
+def forest_fit():
+    data = make_dataset()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return data, fit(data, small_config(keep_forests=True))
+
+
+class TestPartialDependence:
+    def test_hand_computed_effects_and_bands(self):
+        with pytest.warns(RuntimeWarning, match="beyond the observed"):
+            got = partial_dependence(pdp_hand_draws(*PDP_FORESTS), PDP_DATA, 0, PDP_GRID,
+                                     level=0.5)
+        # rho per draw: (0, 2, 2), (-0.25, -0.25, -0.25), (0, 0, 0); at level
+        # 0.5 the bands are the midpoints of the lower and of the upper pair
+        assert np.array_equal(got.grid, PDP_GRID)
+        np.testing.assert_allclose(got.mean, [-0.25 / 3, 1.75 / 3, 1.75 / 3], rtol=1e-15)
+        assert np.array_equal(got.lower, [-0.125, -0.125, -0.125])
+        assert np.array_equal(got.upper, [0.0, 1.0, 1.0])
+        assert got.extrapolated.tolist() == [False, False, True]
+
+    def test_draw_stride_takes_every_kth_draw(self):
+        with pytest.warns(RuntimeWarning):
+            got = partial_dependence(pdp_hand_draws(*PDP_FORESTS), PDP_DATA, 0, PDP_GRID,
+                                     draw_stride=2, level=0.5)
+        # draws 0 and 2
+        assert np.array_equal(got.mean, [0.0, 1.0, 1.0])
+        assert np.array_equal(got.lower, [0.0, 0.5, 0.5])
+        assert np.array_equal(got.upper, [0.0, 1.5, 1.5])
+
+    def test_draw_with_no_arm_split_is_exactly_zero(self):
+        with pytest.warns(RuntimeWarning):
+            got = partial_dependence(pdp_hand_draws(PDP_FORESTS[2]), PDP_DATA, 0, PDP_GRID)
+        for name in ("mean", "lower", "upper"):
+            assert np.array_equal(getattr(got, name), np.zeros(3)), name
+
+    @pytest.mark.parametrize("draw_stride", [1, 7])
+    def test_matches_the_all_trees_oracle_on_a_fit(self, forest_fit, draw_stride):
+        data, draws = forest_fit
+        for column in range(data.p_enc):
+            grid = np.quantile(data.X[:, column], [0.05, 0.3, 0.7, 0.95])
+            got = partial_dependence(draws, data, column, grid, draw_stride)
+            rho = all_trees_rho(draws, data, column, grid, draw_stride)
+            assert rho.shape[0] == len(draws.forests[::draw_stride])
+            for name, want in (("mean", rho.mean(axis=0)),
+                               ("lower", np.quantile(rho, 0.025, axis=0)),
+                               ("upper", np.quantile(rho, 0.975, axis=0))):
+                np.testing.assert_allclose(getattr(got, name), want, rtol=1e-12,
+                                           atol=1e-12, err_msg=name)
+            assert not got.extrapolated.any()
+
+    @pytest.mark.parametrize("draw_stride", [0, -1])
+    def test_draw_stride_below_one_is_a_config_error(self, draw_stride):
+        with pytest.raises(ConfigError, match="draw stride"):
+            partial_dependence(pdp_hand_draws(*PDP_FORESTS), PDP_DATA, 0, PDP_GRID[:2],
+                               draw_stride)
+
+
+LEVEL_CALLS = {
+    "intervals": lambda lv: IteDraws(BENEFIT_THETA, "log").intervals(lv),
+    "effect_distribution": lambda lv: effect_distribution(
+        IteDraws(BENEFIT_THETA, "log"), np.linspace(-1.0, 1.0, 5), level=lv),
+    "proportion_benefiting": lambda lv: proportion_benefiting(
+        IteDraws(BENEFIT_THETA, "log"), level=lv),
+    "survival_curve": lambda lv: survival_curve(
+        hand_draws(**TestSurvivalCurve.DRAWS), 1, [1.0, 2.0], patient=0, level=lv),
+    "partial_dependence": lambda lv: partial_dependence(
+        pdp_hand_draws(*PDP_FORESTS), PDP_DATA, 0, PDP_GRID[:2], level=lv),
+}
+
+
+@pytest.mark.parametrize("call", LEVEL_CALLS)
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_level_outside_zero_one_is_a_config_error(call, level):
+    with pytest.raises(ConfigError, match="level must be strictly between 0 and 1"):
+        LEVEL_CALLS[call](level)
 
 
 def ranking_data(n=12, seed=3):
