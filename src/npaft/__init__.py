@@ -20,9 +20,9 @@ from .hte import (BenefitSummary, DteSummary, EffectDistribution, IteDraws,
                   partial_dependence, proportion_benefiting, survival_curve,
                   virtual_twins_rank)
 from .mixture import (CdpHyper, CdpState, calibrate_scale, impute_censored,
-                      residual_density, sample_truncnorm_lower,
-                      update_cluster_labels, update_cluster_locations,
-                      update_mass_and_scale, update_stick_weights)
+                      sample_truncnorm_lower, update_cluster_labels,
+                      update_cluster_locations, update_mass_and_scale,
+                      update_stick_weights)
 from .bench import (KaplanMeier, MetricRow, ResidualFamily, SimData, SimScenario,
                     apply_censoring, cross_validation_score, gen_friedman_scenario,
                     gen_null_aft, gen_null_cox, gen_residuals, param_aft_baseline,

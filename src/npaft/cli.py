@@ -509,23 +509,19 @@ def cmd_crossval(data_path, schema_path, config_path, out_path, folds, seed, del
 @click.option("--nu", type=float, default=CdpHyper.nu, show_default=True)
 @click.option("--psi1", type=float, default=CdpHyper.psi1, show_default=True)
 @click.option("--psi2", type=float, default=CdpHyper.psi2, show_default=True)
-@click.option("--draws", "n_draws", type=int, default=FitConfig.calibration_draws,
-              show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_guarded
-def cmd_calibrate(sigma_w, q, nu, psi1, psi2, n_draws, seed, out_path):
+def cmd_calibrate(sigma_w, q, nu, psi1, psi2, out_path):
     """Solve for the base-measure variance of the residual mixture."""
     hyper = CdpHyper(psi1=psi1, psi2=psi2, nu=nu, q=q)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    st2 = calibrate_scale(sigma_w, hyper, n_draws, rng)
+    st2 = calibrate_scale(sigma_w, hyper)
     click.echo(f"sigma_tau_sq = {st2!r}")
     if out_path:
         out = _out_dir(out_path)
         manifest = _Manifest("calibrate", out,
                              {"sigma_w": sigma_w, "q": q, "nu": nu, "psi1": psi1,
-                              "psi2": psi2, "draws": n_draws},
-                             seed, {})
+                              "psi2": psi2},
+                             None, {})
         with open(out / "calibration.json", "w", encoding="utf-8") as fh:
             json.dump({"sigma_tau_sq": st2, "sigma_w": sigma_w, "q": q}, fh,
                       indent=2, sort_keys=True)

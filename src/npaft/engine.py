@@ -9,7 +9,8 @@ fits for every training row (with the response-scale location added back),
 the mixture snapshot, and per-sweep sampler diagnostics.
 
 Randomness derives from one root seed: ``SeedSequence(seed)`` spawns one
-calibration stream plus one sequence per chain, and each chain spawns six
+sequence per chain (after a first one that nothing draws from, so each
+chain's sequence keeps its spawn index), and each chain spawns six
 component streams (tree moves/leaf draws, labels, sticks, locations,
 mass/scale, imputation). Adding diagnostics therefore never perturbs draws,
 and a (seed, data, config) triple reproduces results bit for bit, whether
@@ -62,7 +63,6 @@ class FitConfig:
     prior: ForestPrior = field(default_factory=ForestPrior)
     keep_forests: bool = False
     max_split_points: int = 100
-    calibration_draws: int = 1_000_000
 
     def __post_init__(self):
         if self.seed is None:
@@ -409,18 +409,20 @@ def fit(data: EncodedDataset, config: FitConfig,
     if arms.size < 2:
         raise DataError(f"every row is in arm {int(arms[0])}; treatment effects "
                         "need rows in both arms")
+    if not data.delta.any():
+        raise DataError("every row is censored; the model needs observed event times")
+    if data.delta.all() and np.all(data.y == data.y[0]):
+        raise DataError(f"every row is an event at the same time, {data.y[0]:g}; "
+                        "the residual scale cannot be estimated")
     transform = fit_intercept_lognormal_aft(data)
     data_tr = transform_responses(data, transform)
 
-    root = np.random.SeedSequence(config.seed)
-    seqs = root.spawn(1 + config.chains)
-    rng_cal = np.random.default_rng(seqs[0])
+    # seqs[0] is unused: chain c keeps spawn index c + 1
+    seqs = np.random.SeedSequence(config.seed).spawn(1 + config.chains)
 
     hyper = config.hyper
     if hyper.sigma_tau_sq is None:
-        st2 = calibrate_scale(transform.sigma_aft, hyper,
-                              config.calibration_draws, rng_cal)
-        hyper = replace(hyper, sigma_tau_sq=st2)
+        hyper = replace(hyper, sigma_tau_sq=calibrate_scale(transform.sigma_aft, hyper))
 
     U = np.column_stack([data_tr.a.astype(float), data_tr.X])
     grids = _build_grids(U, config.max_split_points)

@@ -32,8 +32,7 @@ class TestRunReplication:
                                coefs=(6.5, 0.25, 0.3, -0.2))
         fit_config = FitConfig(seed=1, iterations=30, burn_in=20,
                                prior=ForestPrior(n_trees=5), hyper=CdpHyper(H=10),
-                               calibration_draws=5_000, keep_forests=True,
-                               max_split_points=7)
+                               keep_forests=True, max_split_points=7)
         bench.run_replication(scenario, fit_config, np.random.SeedSequence(3))
         (cfg,) = seen
         assert cfg.max_split_points == 7
@@ -78,6 +77,55 @@ class TestResidualFamilies:
             + s ** 2 * t_df / (t_df - 2)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(2.5, rel=1e-12)
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("interaction_coefs", [None, (0.4, -0.3)])
+    def test_null_aft_least_squares_recovers_the_coefficients(self, interaction_coefs):
+        coefs = np.array([1.5, 0.5, 0.8, -0.6])
+        n = 20_000
+        sim = bench.gen_null_aft(coefs, ResidualFamily("gumbel", variance=0.7), n,
+                                 np.random.default_rng(21), interaction_coefs)
+        design = np.column_stack([np.ones(n), sim.a, sim.X])
+        truth = coefs
+        if interaction_coefs is not None:
+            design = np.column_stack([design, sim.a[:, None] * sim.X])
+            truth = np.concatenate([coefs, interaction_coefs])
+            assert np.allclose(sim.theta_true, 0.5 + sim.X @ interaction_coefs,
+                               rtol=0, atol=1e-15)
+        else:
+            assert np.all(sim.theta_true == 0.5)
+        beta, rss, *_ = np.linalg.lstsq(design, np.log(sim.T), rcond=None)
+        sigma_sq = rss[0] / (n - design.shape[1])
+        se = np.sqrt(sigma_sq * np.diag(np.linalg.inv(design.T @ design)))
+        assert np.all(np.abs(beta - truth) <= 4.0 * se), (beta, truth, se)
+        assert sigma_sq == pytest.approx(0.7, rel=0.05)
+
+    @pytest.mark.parametrize("shape", [0.7, 2.5])
+    def test_null_cox_log_time_moments(self, shape):
+        # log T = log scale - (eta + G)/shape with G = -log(-log U) standard
+        # Gumbel: mean log scale - (gamma + eta)/shape, variance pi^2/(6 shape^2)
+        coefs = np.array([0.3, -0.8, 0.5])
+        n, scale = 200_000, 4.0
+        sim = bench.gen_null_cox(coefs, shape, scale, n, np.random.default_rng(22))
+        eta = coefs[0] + coefs[1] * sim.a + sim.X @ coefs[2:]
+        r = np.log(sim.T) - (math.log(scale) - (bench.EULER_GAMMA + eta) / shape)
+        var = math.pi ** 2 / (6.0 * shape ** 2)
+        # the Gumbel law's excess kurtosis is 12/5
+        assert abs(r.mean()) <= 4.0 * math.sqrt(var / n)
+        assert abs(r.var() - var) <= 4.0 * var * math.sqrt(4.4 / n)
+        assert np.all(sim.theta_true == 0.8 / shape)
+
+    def test_friedman_effects_are_the_surface_effect(self):
+        surface, sim = bench.gen_friedman_scenario(500, np.random.default_rng(23), p=6)
+        assert np.array_equal(sim.theta_true, surface.effect(sim.X))
+        assert np.ptp(sim.theta_true) > 0
+        residual = np.log(sim.T) - surface.regression(sim.a, sim.X)
+        assert abs(residual.mean()) <= 4.0 / math.sqrt(500)
+        again, sim2 = bench.gen_friedman_scenario(500, np.random.default_rng(24),
+                                                  p=6, surface=surface)
+        assert again is surface
+        assert np.array_equal(sim2.theta_true, surface.effect(sim2.X))
 
 
 class TestParamAftBaseline:
@@ -241,7 +289,7 @@ class TestCrossValidationScore:
 
 def tiny_fit_config():
     return FitConfig(seed=1, iterations=30, burn_in=20, prior=ForestPrior(n_trees=5),
-                     hyper=CdpHyper(H=10), calibration_draws=5_000)
+                     hyper=CdpHyper(H=10))
 
 
 SCENARIOS = [SimScenario(kind="aft-linear-null", n=30, family=ResidualFamily("gumbel"),

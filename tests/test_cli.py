@@ -9,11 +9,11 @@ from click.testing import CliRunner
 
 from npaft import CdpHyper, FitConfig, ForestPrior, ResidualFamily, SimScenario, fit
 from npaft import bench, cli
-from npaft.cli import DRAWS_FILE, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, FORESTS_FILE, main
+from npaft.cli import DRAWS_FILE, EXIT_CONFIG, EXIT_INPUT, FORESTS_FILE, main
 from conftest import make_dataset
 from test_engine import small_config
 
-TINY_FIT = {"iterations": 30, "burn_in": 10, "calibration_draws": 5000,
+TINY_FIT = {"iterations": 30, "burn_in": 10,
             "prior": {"n_trees": 5}, "hyper": {"H": 10}}
 
 
@@ -91,7 +91,7 @@ def test_fit_reruns_are_byte_identical(trial, tmp_path):
 # The keys each YAML level accepted when they were listed by hand in cli.py.
 ACCEPTED_KEYS = [
     (FitConfig, {"iterations", "burn_in", "thin", "chains", "seed", "keep_forests",
-                 "max_split_points", "calibration_draws", "hyper", "prior"}),
+                 "max_split_points", "hyper", "prior"}),
     (CdpHyper, {"psi1", "psi2", "nu", "q", "H"}),
     (ForestPrior, {"alpha", "beta", "n_trees", "k"}),
     (SimScenario, {"kind", "n", "family", "censoring", "name", "coefs",
@@ -134,6 +134,16 @@ def test_fields_set_from_the_data_are_not_config_keys(tmp_path, trial, level, ke
     assert key in result.output
 
 
+def test_calibration_has_no_draw_count_or_seed(tmp_path, trial):
+    # the prior's calibration is a quadrature: it takes no draws and no seed
+    result = config_error(tmp_path, trial, "fit", "calibration_draws")
+    assert result.exit_code == EXIT_CONFIG == 4, result.output
+    assert "calibration_draws" in result.output
+    for flag in ("--draws", "--seed"):
+        result = invoke("calibrate", "--sigma-w", 1.2, flag, 1)
+        assert result.exit_code == 2 and "No such option" in result.output, result.output
+
+
 @pytest.mark.parametrize("command", ["fit", "simulate", "crossval"])
 def test_missing_seed_exits_with_config_error(tmp_path, trial, command):
     doc = {"scenarios": [{"kind": "aft-linear-null", "n": 20}]} if command == "simulate" \
@@ -151,8 +161,8 @@ def test_all_censored_data_exits_with_numeric_error(tmp_path):
     trial = write_trial(tmp_path, censored)
     result = invoke("fit", *trial, "--config", write_yaml(tmp_path / "fit.yaml", TINY_FIT),
                     "--out", tmp_path / "out", "--seed", 1)
-    assert result.exit_code == EXIT_NUMERIC == 3, result.output
-    assert "likelihood unbounded" in result.output
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert "every row is censored" in result.output
 
 
 @pytest.mark.parametrize("cv_doc, expected", [
@@ -202,7 +212,7 @@ RERUNS = {
                                     "--draw-stride", 7], ["partial_dependence.csv"]),
     "crossval": (lambda run, trial, cv: [*trial, "--config", cv, "--folds", 2, "--seed", 5],
                  ["cv.csv"]),
-    "calibrate": (lambda run, trial, cv: ["--sigma-w", 1.2, "--draws", 20_000, "--seed", 4],
+    "calibrate": (lambda run, trial, cv: ["--sigma-w", 1.2],
                   ["calibration.json"]),
 }
 

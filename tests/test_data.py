@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from npaft import (ColumnSpec, CovariateSchema, DataError, EncodedDataset,
-                   NumericError, ResponseTransform, bench, fit_intercept_lognormal_aft,
-                   load_dataset, split_point_grid, transform_responses)
+from npaft import (CdpHyper, ColumnSpec, CovariateSchema, DataError, EncodedDataset,
+                   FitConfig, ForestPrior, NumericError, ResponseTransform, bench,
+                   engine, fit, fit_intercept_lognormal_aft, load_dataset,
+                   split_point_grid, transform_responses)
 from npaft.data import _censored_lognormal_loglik, _score_and_hessian, \
     fit_linear_lognormal_aft
 
@@ -274,3 +277,60 @@ class TestSplitPointGrid:
         assert np.unique(cuts).shape[0] == cuts.shape[0]
         for c in cuts:
             assert np.any(col <= c) and np.any(col > c)
+
+
+TINY_FIT = FitConfig(seed=1, iterations=12, burn_in=6, prior=ForestPrior(n_trees=3),
+                     hyper=CdpHyper(H=5))
+
+
+def cohort(y, delta, X=None):
+    """A cohort with alternating arms and, by default, two random covariates."""
+    n = len(y)
+    if X is None:
+        X = np.random.default_rng(n).standard_normal((n, 2))
+    return EncodedDataset.from_arrays(np.asarray(y, float), np.asarray(delta, int),
+                                      np.arange(n) % 2, X)
+
+
+def fit_before_intercept(data):
+    """``fit`` with the intercept fit made to fail, so an error raised before
+    it surfaces as itself."""
+    with mock.patch.object(engine, "fit_intercept_lognormal_aft",
+                           side_effect=AssertionError("reached the intercept fit")):
+        return fit(data, TINY_FIT)
+
+
+class TestDegenerateResponses:
+    @given(st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=30))
+    @settings(max_examples=30, deadline=None)
+    def test_every_row_censored_is_a_data_error(self, y):
+        with pytest.raises(DataError, match="every row is censored"):
+            fit_before_intercept(cohort(y, np.zeros(len(y))))
+
+    @given(st.integers(2, 30), st.floats(1e-300, 1e300))
+    @settings(max_examples=30, deadline=None)
+    def test_every_row_an_event_at_one_time_is_a_data_error(self, n, time):
+        with pytest.raises(DataError, match="every row is an event at the same time"):
+            fit_before_intercept(cohort(np.full(n, time), np.ones(n)))
+
+    @pytest.mark.parametrize("case", ["one event", "tied events, some censored",
+                                      "constant covariates", "times near 1e300",
+                                      "times near 1e-300"])
+    def test_near_degenerate_responses_still_fit(self, case):
+        g = np.random.default_rng(5)
+        n = 24
+        y, delta, X = np.exp(g.normal(1.0, 0.5, n)), np.ones(n), None
+        if case == "one event":
+            delta = np.zeros(n)
+            delta[3] = 1
+        elif case == "tied events, some censored":
+            y, delta = np.full(n, 2.0), np.arange(n) % 3 > 0
+        elif case == "constant covariates":
+            X = np.ones((n, 2))
+        else:
+            y = y * float(case.split()[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            draws = fit(cohort(y, delta, X), TINY_FIT)
+        assert np.all(np.isfinite(draws.m0)) and np.all(np.isfinite(draws.m1))
+        assert np.all(np.isfinite(draws.sigma)) and draws.sigma_tau_sq > 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from npaft import (ColumnSpec, CovariateSchema, EncodedDataset, PosteriorDraws,
-                   ResponseTransform, engine, fit)
+                   ResponseTransform, engine, fit, hte)
 from npaft import stdnorm as norm
 from npaft.errors import ConfigError, DataError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
@@ -259,6 +259,18 @@ class TestSurvivalCurve:
                               "m1": self.DRAWS["m0"]})
         got = survival_curve(draws, 0, np.exp([0.0, 1.0, 2.0]), patient=0)
         np.testing.assert_allclose(got.mean, self.CURVES.mean(axis=0), rtol=1e-12)
+
+    def test_blocks_of_draws_give_the_same_curves(self, small_data, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            draws = fit(small_data, small_config())
+        times = np.linspace(0.5, 30.0, 12)
+        whole = survival_curve(draws, 1, times, patient=3)
+        # 80 draws: eleven blocks of 7 in one reused array, then a block of 3
+        monkeypatch.setattr(hte, "SURVIVAL_CHUNK", 7)
+        blocks = survival_curve(draws, 1, times, patient=3)
+        for name in ("mean", "lower", "upper"):
+            assert np.array_equal(getattr(blocks, name), getattr(whole, name)), name
 
     @pytest.mark.parametrize("patient, x", [(None, None), (0, np.zeros(3))])
     def test_needs_exactly_one_of_patient_and_covariates(self, patient, x):
