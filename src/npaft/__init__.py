@@ -17,15 +17,14 @@ from .forest import (Forest, ForestPrior, PackedForest, Tree, TreeWorkspace,
 from .hte import (BenefitSummary, DteSummary, EffectDistribution, IteDraws,
                   PartialDependence, SurvivalCurve, allocate,
                   differential_effect, effect_distribution, ite_draws,
-                  partial_dependence, proportion_benefiting, survival_curve,
-                  virtual_twins_rank)
+                  partial_dependence, proportion_benefiting, survival_curve)
 from .mixture import (CdpHyper, CdpState, calibrate_scale, impute_censored,
                       sample_truncnorm_lower, update_cluster_labels,
                       update_cluster_locations, update_mass_and_scale,
                       update_stick_weights)
 from .bench import (KaplanMeier, MetricRow, ResidualFamily, SimData, SimScenario,
                     apply_censoring, cross_validation_score, gen_friedman_scenario,
-                    gen_null_aft, gen_null_cox, gen_residuals, param_aft_baseline,
-                    run_benchmark, score_replication)
+                    gen_null_aft, gen_null_cox, gen_residuals, run_benchmark,
+                    score_replication)
 
 __version__ = "0.1.0"

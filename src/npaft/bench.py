@@ -5,9 +5,8 @@ time-to-event generators (linear log-time regression and a proportional-
 hazards model with a Weibull baseline), a random nonlinear-surface generator
 built from Gaussian bumps on random covariate subsets, exponential censoring
 calibrated to a target fraction, replication metrics (RMSE, misclassification
-proportion, interval coverage, evidence-of-heterogeneity percentages), a
-censoring-weighted cross-validation score, and the parametric linear
-baseline.
+proportion, interval coverage, evidence-of-heterogeneity percentages), and
+a censoring-weighted cross-validation score.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .data import EncodedDataset, fit_linear_lognormal_aft
+from .data import EncodedDataset
 from .engine import FitConfig, fit, map_tasks, predict_m
 from .errors import ConfigError, DataError, NumericError
 from .hte import allocate, differential_effect, ite_draws
@@ -28,6 +27,7 @@ EULER_GAMMA = 0.5772156649015329
 CENSOR_TARGETS = {"light": 0.20, "heavy": 0.45}
 CENSOR_XTOL = 1e-10   # root-finding tolerance on the censoring rate
 CV_WEIGHT_FLOOR = 1e-3  # censoring-survival weights below this are raised to it
+BASELINE_BUMPS, EFFECT_BUMPS = 10, 5  # Gaussian bumps per random surface part
 FAMILY_TAGS = ("normal", "gumbel", "std-gamma", "t-mixture")
 
 
@@ -190,12 +190,11 @@ def _draw_bump(p: int, rng: np.random.Generator) -> GaussianBump:
     return GaussianBump(idx, mu, V)
 
 
-def draw_random_surface(rng: np.random.Generator, p: int = 20,
-                        n_baseline: int = 10, n_effect: int = 5) -> RandomSurface:
-    a1 = rng.uniform(-1.0, 1.0, n_baseline)
-    g1 = [_draw_bump(p, rng) for _ in range(n_baseline)]
-    a2 = rng.uniform(-0.2, 0.3, n_effect)
-    g2 = [_draw_bump(p, rng) for _ in range(n_effect)]
+def draw_random_surface(rng: np.random.Generator, p: int = 20) -> RandomSurface:
+    a1 = rng.uniform(-1.0, 1.0, BASELINE_BUMPS)
+    g1 = [_draw_bump(p, rng) for _ in range(BASELINE_BUMPS)]
+    a2 = rng.uniform(-0.2, 0.3, EFFECT_BUMPS)
+    g2 = [_draw_bump(p, rng) for _ in range(EFFECT_BUMPS)]
     return RandomSurface(a1, g1, a2, g2)
 
 
@@ -299,27 +298,6 @@ def score_replication(true_theta: np.ndarray, theta_hat: np.ndarray,
     return MetricRow(rmse, mcprop, coverage, pct_strong, pct_mild)
 
 
-def param_aft_baseline(data: EncodedDataset, interactions: bool = True) -> dict:
-    """Linear lognormal survival baseline with optional treatment-covariate
-    interactions; returns per-patient effect estimates and the treatment
-    coefficient with its standard error."""
-    a = data.a.astype(float)
-    cols = [np.ones(data.n), a, data.X]
-    if interactions:
-        cols.append(a[:, None] * data.X)
-    design = np.column_stack(cols)
-    ly = np.log(data.y)
-    beta, sigma, cov = fit_linear_lognormal_aft(ly, data.delta, design)
-    p = data.p_enc
-    theta_hat = np.full(data.n, beta[1])
-    if interactions:
-        theta_hat = beta[1] + data.X @ beta[2 + p:2 + 2 * p]
-    return {"beta": beta, "sigma": sigma,
-            "treatment_coef": float(beta[1]),
-            "treatment_se": float(np.sqrt(cov[1, 1])),
-            "theta_hat": theta_hat}
-
-
 # -- cross-validation ---------------------------------------------------------
 
 def cross_validation_score(data: EncodedDataset, n_folds: int, config: FitConfig,
@@ -332,9 +310,11 @@ def cross_validation_score(data: EncodedDataset, n_folds: int, config: FitConfig
     training part's Kaplan-Meier censoring survival, floored at
     ``CV_WEIGHT_FLOOR``.
     """
+    n = data.n
     if n_folds < 2:
         raise ConfigError(f"need at least 2 folds, got {n_folds}")
-    n = data.n
+    if n_folds > n // 2:
+        raise ConfigError(f"{n_folds} folds is more than {n} rows allow: at most {n // 2}")
     perm = rng.permutation(n)
     folds = np.array_split(perm, n_folds)
     scores: list[float] = []
@@ -384,6 +364,9 @@ class SimScenario:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if not self.name:
             self.name = f"{self.kind}/n{self.n}/{self.censoring}/{self.family.tag}"
+        if self.censoring != "none" and self.censoring not in CENSOR_TARGETS:
+            raise ConfigError(f"scenario {self.name!r}: unknown censoring level "
+                              f"{self.censoring!r}, not one of {['none', *CENSOR_TARGETS]}")
         if self.kind == "friedman-hte":
             return
         p = len(self.coefs) - 2

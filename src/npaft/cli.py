@@ -248,6 +248,9 @@ def _check_summary_identities(dte, benefit) -> None:
 @_guarded
 def cmd_summarize(draws_dir, out_path, scale, grid_points, bandwidth, thresholds, level):
     """Posterior treatment-effect summaries and plot-ready CSV files."""
+    eps = tuple(_parse_values(thresholds, "--thresholds"))
+    if grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {grid_points}")
     draws = _load_draws(draws_dir)
     out = _out_dir(out_path)
     manifest = _Manifest("summarize", out,
@@ -257,7 +260,6 @@ def cmd_summarize(draws_dir, out_path, scale, grid_points, bandwidth, thresholds
                          None, {"draws": Path(draws_dir) / DRAWS_FILE})
     ite = ite_draws(draws, scale)
     dte = differential_effect(ite)
-    eps = tuple(float(tok) for tok in thresholds.split(",") if tok.strip())
     benefit = proportion_benefiting(ite, eps, level)
     _check_summary_identities(dte, benefit)
 
@@ -309,14 +311,32 @@ def cmd_summarize(draws_dir, out_path, scale, grid_points, bandwidth, thresholds
                f"benefiting: {100 * benefit.q_mean:.1f}%")
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid spec {spec!r} must be start:stop:count or CSV values")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return np.linspace(start, stop, count)
-    return np.array([float(tok) for tok in spec.split(",") if tok.strip()])
+def _number(tok: str, kind, what: str):
+    try:
+        return kind(tok)
+    except ValueError:
+        raise ConfigError(f"{what}: {tok.strip()!r} is not a valid {kind.__name__}") from None
+
+
+def _parse_values(spec: str, what: str) -> list[float]:
+    """Comma-separated numbers, at least one."""
+    values = [_number(tok, float, what) for tok in spec.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{what} {spec!r} lists no values")
+    return values
+
+
+def _parse_grid(spec: str, what: str) -> np.ndarray:
+    """``start:stop:count`` or comma-separated values."""
+    if ":" not in spec:
+        return np.array(_parse_values(spec, what))
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{what} {spec!r} must be start:stop:count or CSV values")
+    count = _number(parts[2], int, what)
+    if count < 1:
+        raise ConfigError(f"{what} {spec!r}: count must be >= 1, got {count}")
+    return np.linspace(_number(parts[0], float, what), _number(parts[1], float, what), count)
 
 
 @main.command("survcurve")
@@ -334,7 +354,7 @@ def cmd_survcurve(draws_dir, out_path, arm, patient, times, level):
     draws = _load_draws(draws_dir)
     if not 0 <= patient < draws.n_patients:
         raise DataError(f"patient index {patient} out of range (n={draws.n_patients})")
-    grid = _parse_grid(times)
+    grid = _parse_grid(times, "--times")
     curve = survival_curve(draws, arm, grid, patient=patient, level=level)
     out = _out_dir(out_path)
     manifest = _Manifest("survcurve", out,
@@ -363,6 +383,8 @@ def cmd_survcurve(draws_dir, out_path, arm, patient, times, level):
 def cmd_pdp(draws_dir, data_path, schema_path, out_path, covariate, grid_spec,
             grid_points, draw_stride, level, delimiter):
     """Partial dependence of the treatment effect on one covariate."""
+    if grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {grid_points}")
     draws = _load_draws(draws_dir, need_forests=True)
     schema = CovariateSchema.from_yaml(schema_path)
     data = load_dataset(data_path, schema, delimiter)
@@ -371,7 +393,7 @@ def cmd_pdp(draws_dir, data_path, schema_path, out_path, covariate, grid_spec,
         raise DataError(f"unknown covariate {covariate!r}; encoded columns: {names}")
     column = names.index(covariate)
     if grid_spec is not None:
-        grid = _parse_grid(grid_spec)
+        grid = _parse_grid(grid_spec, "--grid")
     else:
         qs = np.linspace(0.05, 0.95, grid_points)
         grid = np.unique(np.quantile(data.X[:, column], qs))

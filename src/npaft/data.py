@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
 COLUMN_KINDS = ("continuous", "binary", "categorical")
 
 SIGMA_FLOOR = 1e-6
+AFT_MAX_ITER, AFT_GTOL = 200, 1e-10  # Newton steps and gradient-norm tolerance
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,11 @@ class EncodedDataset:
         return self.X.shape[1]
 
     @classmethod
-    def from_arrays(cls, y, delta, a, X, names: list[str] | None = None) -> "EncodedDataset":
-        """Wrap already-numeric arrays, treating every column as continuous."""
+    def from_arrays(cls, y, delta, a, X) -> "EncodedDataset":
+        """Wrap already-numeric arrays as continuous columns ``x1, x2, ...``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if names is None:
-            names = [f"x{j + 1}" for j in range(X.shape[1])]
-        schema = CovariateSchema([ColumnSpec(nm, "continuous") for nm in names])
+        schema = CovariateSchema([ColumnSpec(f"x{j + 1}", "continuous")
+                                  for j in range(X.shape[1])])
         return cls(np.asarray(y, float), np.asarray(delta), np.asarray(a), X, schema)
 
     def replace_y(self, y: np.ndarray) -> "EncodedDataset":
@@ -308,8 +308,7 @@ def _score_and_hessian(beta: np.ndarray, eta: float, ly: np.ndarray,
     return g, H
 
 
-def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
-                             max_iter: int = 200, tol: float = 1e-10):
+def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray):
     """Censored lognormal MLE of ``ly ~ Normal(X beta, sigma^2)``.
 
     Newton iteration on ``(beta, log sigma)`` with analytic gradient and
@@ -317,7 +316,8 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     log-likelihood and its gradient are sums over the n rows, so their
     rounding error grows with n, and so do both tests against it: a damped
     step may lower the log-likelihood by 1e-12 per row, and the iteration
-    stops at a gradient norm below ``tol`` or 1e-14 per row, the larger.
+    stops at a gradient norm below ``AFT_GTOL`` or 1e-14 per row, the
+    larger, or fails after ``AFT_MAX_ITER`` steps.
 
     Returns
     -------
@@ -326,9 +326,6 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     sigma : float
         Residual scale estimate (clamped at 1e-6 for zero-variance input,
         with a warning).
-    cov : np.ndarray
-        Inverse negative Hessian over ``(beta, log sigma)`` at the optimum,
-        or NaN matrix when the scale was clamped.
     """
     ly = np.asarray(ly, dtype=float)
     delta = np.asarray(delta)
@@ -337,7 +334,7 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
     if not unc.any():
         raise NumericError("likelihood unbounded: every observation is censored")
     n, p = X.shape
-    gtol = max(tol, 1e-14 * n)
+    gtol = max(AFT_GTOL, 1e-14 * n)
     slack = 1e-12 * n
 
     beta, *_ = np.linalg.lstsq(X[unc], ly[unc], rcond=None)
@@ -348,7 +345,7 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
 
     ll = _censored_lognormal_loglik(beta, eta, ly, delta, X)
     gnorm = math.inf
-    for _ in range(max_iter):
+    for _ in range(AFT_MAX_ITER):
         g, H = _score_and_hessian(beta, eta, ly, unc, X)
         gnorm = float(np.linalg.norm(g))
         if gnorm < gtol:
@@ -376,19 +373,12 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray,
             warnings.warn(
                 "residual scale hit the 1e-6 floor (degenerate zero-variance responses); "
                 "sigma clamped", RuntimeWarning)
-            cov = np.full((p + 1, p + 1), np.nan)
-            return beta, SIGMA_FLOOR, cov
+            return beta, SIGMA_FLOOR
     else:
         raise NumericError(
-            f"intercept AFT fit did not converge in {max_iter} iterations; "
+            f"intercept AFT fit did not converge in {AFT_MAX_ITER} iterations; "
             f"final gradient norm {gnorm:.3e}")
-
-    # H is the Hessian at the converged (beta, eta)
-    try:
-        cov = np.linalg.inv(-H)
-    except np.linalg.LinAlgError:
-        cov = np.full((p + 1, p + 1), np.nan)
-    return beta, math.exp(eta), cov
+    return beta, math.exp(eta)
 
 
 def fit_intercept_lognormal_aft(data: EncodedDataset) -> ResponseTransform:
@@ -400,7 +390,7 @@ def fit_intercept_lognormal_aft(data: EncodedDataset) -> ResponseTransform:
     """
     ly = np.log(data.y)
     ones = np.ones((data.n, 1))
-    beta, sigma, _ = fit_linear_lognormal_aft(ly, data.delta, ones)
+    beta, sigma = fit_linear_lognormal_aft(ly, data.delta, ones)
     return ResponseTransform(mu_aft=float(beta[0]), sigma_aft=float(sigma))
 
 

@@ -173,9 +173,6 @@ class Tree:
 
     # -- structure -----------------------------------------------------
 
-    def is_leaf(self, v: int) -> bool:
-        return self.var[v] < 0
-
     @property
     def n_leaves(self) -> int:
         return len(self.leaf_ids)

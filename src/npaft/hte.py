@@ -4,18 +4,15 @@ Everything here is a pure function of the stored draws: per-patient effects
 on the log or ratio scale, differential-effect probabilities with evidence
 classes, the latent effect-distribution estimate with a smooth density,
 proportion benefiting with banded tabulation, allocation rules, individual
-survival curves, partial dependence of the effect on single covariates, and
-a weighted-regression variable ranking.
+survival curves, and partial dependence of the effect on single covariates.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
 from scipy.special import ndtr
 
 from . import stdnorm as norm
@@ -155,13 +152,15 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 1 or np.any(np.diff(grid) <= 0):
         raise DataError("grid must be strictly increasing")
+    if bandwidth is not None and not bandwidth > 0:
+        raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
     alpha = _tail(level)
     theta = draws.values
     theta_sorted = np.sort(theta, axis=1)
     if bandwidth is None:
         bandwidth = _bandwidth(theta, theta_sorted)
-    if not bandwidth > 0:
-        raise NumericError(f"bandwidth must be positive, got {bandwidth}")
+        if not bandwidth > 0:
+            raise NumericError(f"computed bandwidth is not positive: {bandwidth}")
 
     n = theta.shape[1]
     per_draw = np.empty((theta.shape[0], grid.shape[0]))
@@ -375,68 +374,3 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
                              np.quantile(rho, 1.0 - alpha, axis=0),
                              extrapolated)
 
-
-def _vt_design(data: EncodedDataset) -> tuple[np.ndarray, list[str], list[str]]:
-    """Covariate columns for the variable ranking: one indicator per
-    categorical level is dropped (reference) to avoid structural collinearity
-    with the intercept."""
-    keep: list[int] = []
-    names: list[str] = []
-    dropped: list[str] = []
-    pos = 0
-    enc_names = data.schema.encoded_names
-    for spec in data.schema.columns:
-        w = spec.encoded_width
-        if spec.kind == "categorical":
-            dropped.append(enc_names[pos])
-            for j in range(pos + 1, pos + w):
-                keep.append(j)
-                names.append(enc_names[j])
-        else:
-            keep.append(pos)
-            names.append(enc_names[pos])
-        pos += w
-    return data.X[:, keep], names, dropped
-
-
-def virtual_twins_rank(draws: IteDraws, data: EncodedDataset,
-                       variance_floor: float = 1e-12) -> list[tuple[str, float]]:
-    """Rank covariates by weighted-least-squares regression of the effect
-    point estimates, weights inverse to the per-patient posterior variances.
-
-    Covariates are normalized to zero mean and unit variance; returns
-    (name, coefficient) pairs sorted by absolute coefficient, dropped
-    reference indicators included with coefficient zero.
-    """
-    theta = draws.values
-    n = theta.shape[1]
-    X_raw, names, dropped = _vt_design(data)
-    if n < X_raw.shape[1] + 1:
-        raise DataError(f"need at least {X_raw.shape[1] + 1} patients, have {n}")
-    mean = X_raw.mean(axis=0)
-    sd = X_raw.std(axis=0)
-    constant = sd == 0
-    if constant.any():
-        bad = [names[j] for j in np.nonzero(constant)[0]]
-        raise DataError(f"singular design: constant column(s) {bad}")
-    Xn = (X_raw - mean) / sd
-
-    theta_hat = theta.mean(axis=0)
-    var_hat = theta.var(axis=0, ddof=1) if theta.shape[0] > 1 else np.zeros(n)
-    w = 1.0 / np.maximum(var_hat, variance_floor)
-    sw = np.sqrt(w)
-    A = np.column_stack([np.ones(n), Xn]) * sw[:, None]
-    b = theta_hat * sw
-
-    _, R, piv = qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = diag[0] * max(A.shape) * np.finfo(float).eps if diag[0] > 0 else 0.0
-    rank = int(np.count_nonzero(diag > tol))
-    if rank < A.shape[1]:
-        cols = ["intercept" if j == 0 else names[j - 1] for j in piv[rank:]]
-        raise DataError(f"singular design: collinear column(s) {cols}")
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    out = list(zip(names, coef[1:].tolist()))
-    out.extend((nm, 0.0) for nm in dropped)
-    out.sort(key=lambda kv: abs(kv[1]), reverse=True)
-    return out

@@ -13,7 +13,6 @@ from npaft.bench import MetricRow, ResidualFamily, SimScenario
 from npaft.engine import FitConfig
 from npaft.forest import ForestPrior
 from npaft.mixture import CdpHyper
-from conftest import make_dataset
 from test_engine import needs_pool
 
 
@@ -126,28 +125,6 @@ class TestGenerators:
                                                   p=6, surface=surface)
         assert again is surface
         assert np.array_equal(sim2.theta_true, surface.effect(sim2.X))
-
-
-class TestParamAftBaseline:
-    @pytest.mark.parametrize("interactions", [False, True])
-    def test_uncensored_fit_is_least_squares(self, interactions):
-        data = make_dataset(n=50, p=2, seed=5)
-        a = data.a.astype(float)
-        design = np.column_stack([np.ones(data.n), a, data.X]
-                                 + ([a[:, None] * data.X] if interactions else []))
-        ly = np.log(data.y)
-        beta, *_ = np.linalg.lstsq(design, ly, rcond=None)
-        sigma = math.sqrt(np.sum((ly - design @ beta) ** 2) / data.n)
-        got = bench.param_aft_baseline(data, interactions)
-        np.testing.assert_allclose(got["beta"], beta, rtol=1e-10, atol=1e-12)
-        assert got["sigma"] == pytest.approx(sigma, rel=1e-12)
-        assert got["treatment_coef"] == pytest.approx(beta[1], rel=1e-10)
-        # the inverse information of beta at the least-squares optimum
-        cov = sigma ** 2 * np.linalg.inv(design.T @ design)
-        assert got["treatment_se"] == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-8)
-        theta = beta[1] + (data.X @ beta[4:] if interactions else 0.0)
-        np.testing.assert_allclose(got["theta_hat"], np.broadcast_to(theta, (data.n,)),
-                                   rtol=1e-10, atol=1e-12)
 
 
 class TestKaplanMeier:
@@ -286,6 +263,11 @@ class TestCrossValidationScore:
         with pytest.raises(ConfigError, match="at least 2 folds"):
             bench.cross_validation_score(data, 1, FitConfig(seed=1), FixedPermutation([]))
 
+    def test_more_folds_than_half_the_rows(self):
+        data = EncodedDataset.from_arrays(self.y, np.ones(6), self.a, self.X)
+        with pytest.raises(ConfigError, match="4 folds is more than 6 rows allow: at most 3"):
+            bench.cross_validation_score(data, 4, FitConfig(seed=1), FixedPermutation([]))
+
 
 def tiny_fit_config():
     return FitConfig(seed=1, iterations=30, burn_in=20, prior=ForestPrior(n_trees=5),
@@ -356,3 +338,10 @@ def test_scenarios_that_cannot_be_fitted_are_config_errors(kind, extra, message)
     with pytest.raises(ConfigError, match=re.escape(message)) as info:
         SimScenario(kind=kind, n=20, family=ResidualFamily("normal"), **extra)
     assert f"scenario '{kind}/n20/none/normal'" in str(info.value)
+
+
+def test_unknown_censoring_level_is_a_config_error():
+    with pytest.raises(ConfigError, match=re.escape(
+            "scenario 'aft-linear-null/n20/hevy/normal': unknown censoring level 'hevy'")):
+        SimScenario(kind="aft-linear-null", n=20, family=ResidualFamily("normal"),
+                    censoring="hevy", coefs=(1.0, 0.3, 0.5))

@@ -328,3 +328,45 @@ def test_level_outside_zero_one_exits_with_config_error(run_dir, small_data, com
     result = invoke(command, *args, "--level", 1.5, "--out", run_dir / command)
     assert result.exit_code == EXIT_CONFIG == 4, result.output
     assert "level must be strictly between 0 and 1" in result.output
+
+
+# command -> its arguments before the flag under test
+def flag_args(run_dir, small_data, command):
+    return {"summarize": [run_dir],
+            "survcurve": [run_dir, "--arm", 1, "--patient", 3],
+            "pdp": [run_dir, *write_trial(run_dir, small_data), "--covariate", "x0"]}[command]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("survcurve", "--times", "1,abc", "--times: 'abc' is not a valid float"),
+    ("survcurve", "--times", "1:abc:5", "--times: 'abc' is not a valid float"),
+    ("survcurve", "--times", "1:5:2.5", "--times: '2.5' is not a valid int"),
+    ("survcurve", "--times", "1:5:0", "count must be >= 1, got 0"),
+    ("survcurve", "--times", " , ", "lists no values"),
+    ("pdp", "--grid", "1,abc", "--grid: 'abc' is not a valid float"),
+    ("pdp", "--grid", "0:1:-3", "count must be >= 1, got -3"),
+    ("pdp", "--grid-points", 0, "--grid-points must be >= 1, got 0"),
+    ("summarize", "--thresholds", "0,abc", "--thresholds: 'abc' is not a valid float"),
+    ("summarize", "--thresholds", ",", "lists no values"),
+    ("summarize", "--grid-points", 0, "--grid-points must be >= 1, got 0"),
+    ("summarize", "--bandwidth", 0, "bandwidth must be positive, got 0.0"),
+    ("summarize", "--bandwidth", -0.5, "bandwidth must be positive, got -0.5"),
+    ("summarize", "--bandwidth", "nan", "bandwidth must be positive, got nan"),
+])
+def test_bad_flag_values_exit_with_config_error(run_dir, small_data, command, flag,
+                                                value, message):
+    out = run_dir / command
+    result = invoke(command, *flag_args(run_dir, small_data, command), flag, value,
+                    "--out", out)
+    assert result.exit_code == EXIT_CONFIG == 4, result.output
+    assert message in result.output
+    assert not any(out.glob("*.csv"))
+
+
+def test_crossval_with_more_folds_than_half_the_rows_exits_before_fitting(
+        tmp_path, trial, monkeypatch):
+    monkeypatch.setattr(bench, "fit", lambda *args: pytest.fail("fitted a fold"))
+    result = invoke("crossval", *trial, "--out", tmp_path / "cv", "--folds", 30,
+                    "--seed", 5)
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "30 folds is more than 40 rows allow: at most 20" in result.output

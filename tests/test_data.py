@@ -210,12 +210,12 @@ class TestScoreAndHessian:
                                rtol=1e-6, atol=1e-6)
         assert np.allclose(H, H.T, rtol=1e-12, atol=0)
 
-    def test_fit_reports_inverse_negative_hessian_at_optimum(self, problem):
+    def test_fit_stops_at_a_stationary_maximum(self, problem):
         ly, delta, X = problem
-        beta, sigma, cov = fit_linear_lognormal_aft(ly, delta, X)
+        beta, sigma = fit_linear_lognormal_aft(ly, delta, X)
         g, H = _score_and_hessian(beta, math.log(sigma), ly, delta == 1, X)
         assert np.linalg.norm(g) < 1e-10
-        assert np.array_equal(cov, np.linalg.inv(-H))
+        assert np.all(np.linalg.eigvalsh(H) < 0)
 
 
 class TestTransform:

@@ -4,13 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from npaft import (ColumnSpec, CovariateSchema, EncodedDataset, PosteriorDraws,
-                   ResponseTransform, engine, fit, hte)
+from npaft import EncodedDataset, PosteriorDraws, ResponseTransform, engine, fit, hte
 from npaft import stdnorm as norm
-from npaft.errors import ConfigError, DataError
+from npaft.errors import ConfigError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
-                       partial_dependence, proportion_benefiting, survival_curve,
-                       virtual_twins_rank)
+                       partial_dependence, proportion_benefiting, survival_curve)
 from conftest import make_dataset
 from test_engine import small_config
 from test_forest import COVARIATE_TREE, NAN, packed
@@ -406,48 +404,3 @@ LEVEL_CALLS = {
 def test_level_outside_zero_one_is_a_config_error(call, level):
     with pytest.raises(ConfigError, match="level must be strictly between 0 and 1"):
         LEVEL_CALLS[call](level)
-
-
-def ranking_data(n=12, seed=3):
-    """Age (continuous), sex (binary) and a three-level stage, one-of-K encoded."""
-    g = np.random.default_rng(seed)
-    schema = CovariateSchema([ColumnSpec("age", "continuous"), ColumnSpec("sex", "binary"),
-                              ColumnSpec("stage", "categorical", ("I", "II", "III"))])
-    stage = np.arange(n) % 3
-    X = np.column_stack([g.normal(60.0, 8.0, n), np.arange(n) // 2 % 2,
-                         np.eye(3)[stage]])
-    return EncodedDataset(np.ones(n), np.ones(n, int), np.arange(n) % 2, X, schema)
-
-
-RANK_THETA = np.random.default_rng(4).normal(0.3, 0.5, (5, 12))
-
-
-class TestVirtualTwinsRank:
-    def test_matches_weighted_least_squares_built_by_hand(self):
-        data, theta = ranking_data(), RANK_THETA
-        got = virtual_twins_rank(IteDraws(theta, "log"), data)
-        ranked = dict(got)
-
-        X = data.X[:, [0, 1, 3, 4]]          # stage=I is the reference level
-        Z = (X - X.mean(axis=0)) / X.std(axis=0)
-        sw = 1.0 / theta.std(axis=0, ddof=1)  # square root of the weights
-        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(data.n), Z]) * sw[:, None],
-                                   theta.mean(axis=0) * sw, rcond=None)
-        want = dict(zip(["age", "sex", "stage=II", "stage=III"], coef[1:]))
-        assert ranked.keys() == {*want, "stage=I"}
-        assert ranked["stage=I"] == 0.0
-        for name, value in want.items():
-            assert ranked[name] == pytest.approx(value, rel=1e-10, abs=1e-12), name
-        assert [abs(v) for _, v in got] == sorted((abs(v) for _, v in got), reverse=True)
-
-    def test_constant_column_is_a_data_error(self):
-        data = ranking_data()
-        data.X[:, 1] = 1.0
-        with pytest.raises(DataError, match=r"constant column\(s\) \['sex'\]"):
-            virtual_twins_rank(IteDraws(RANK_THETA, "log"), data)
-
-    def test_collinear_columns_are_a_data_error(self):
-        data = ranking_data()
-        data.X[:, 0] = 50.0 + 10.0 * data.X[:, 1]   # age determined by sex
-        with pytest.raises(DataError, match="collinear"):
-            virtual_twins_rank(IteDraws(RANK_THETA, "log"), data)
