@@ -7,8 +7,8 @@ benchmarks with censoring-aware scoring.
 """
 
 from .data import (CovariateSchema, ColumnSpec, EncodedDataset, ResponseTransform,
-                   fit_intercept_lognormal_aft, fit_linear_lognormal_aft,
-                   load_dataset, split_point_grid, transform_responses)
+                   fit_intercept_lognormal_aft, load_dataset, split_point_grid,
+                   transform_responses)
 from .engine import FitConfig, PosteriorDraws, fit, predict_m
 from .errors import ConfigError, DataError, NumericError
 from .forest import (Forest, ForestPrior, PackedForest, Tree, TreeWorkspace,

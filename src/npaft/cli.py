@@ -313,9 +313,12 @@ def cmd_summarize(draws_dir, out_path, scale, grid_points, bandwidth, thresholds
 
 def _number(tok: str, kind, what: str):
     try:
-        return kind(tok)
+        value = kind(tok)
     except ValueError:
         raise ConfigError(f"{what}: {tok.strip()!r} is not a valid {kind.__name__}") from None
+    if not np.isfinite(value):
+        raise ConfigError(f"{what}: {tok.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_values(spec: str, what: str) -> list[float]:

@@ -8,9 +8,9 @@ to every encoded column.
 
 The response transformation divides follow-up times by ``exp(mu_aft)``, where
 ``(mu_aft, sigma_aft)`` is the maximum-likelihood fit of an intercept-only
-lognormal survival model with right-censored observations. ``sigma_aft``
-anchors the node-value scale of the tree ensemble and the residual-variance
-calibration downstream.
+lognormal survival model with right-censored observations, a Newton fit of
+the scalars ``(mu, log sigma)``. ``sigma_aft`` anchors the node-value scale
+of the tree ensemble and the residual-variance calibration downstream.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ class EncodedDataset:
         if X.shape[1] != schema.encoded_width:
             raise DataError(
                 f"covariate matrix has {X.shape[1]} columns, schema encodes {schema.encoded_width}")
-        if np.any(y <= 0):
-            i = int(np.argmax(y <= 0))
-            raise DataError(f"nonpositive time at row {i + 1}")
+        for what, bad in (("non-finite", ~np.isfinite(y)), ("nonpositive", y <= 0)):
+            if bad.any():
+                raise DataError(f"{what} time at row {int(np.argmax(bad)) + 1}")
         if not np.isfinite(X).all():
             raise DataError("covariate matrix contains non-finite entries")
         if not (np.isin(delta, (0, 1)).all() and np.isin(a, (0, 1)).all()):
@@ -207,8 +207,8 @@ def load_dataset(path: str | Path, schema: CovariateSchema,
                  delimiter: str = ",") -> EncodedDataset:
     """Load a delimiter-separated file with header ``time,status,trt,<covariates...>``.
 
-    Missing values, unknown categorical levels and nonpositive times are
-    load-time errors naming the offending row and column. Row numbers in
+    Missing values, unknown categorical levels and non-finite or nonpositive
+    times are load-time errors naming the offending row and column. Row numbers in
     error messages count data rows from 1.
     """
     path = Path(path)
@@ -235,8 +235,6 @@ def load_dataset(path: str | Path, schema: CovariateSchema,
             if len(row) != len(expected):
                 raise DataError(f"{path}: row {ridx} has {len(row)} fields, expected {len(expected)}")
             y = _parse_float(row[0], ridx, "time")
-            if y <= 0:
-                raise DataError(f"nonpositive time at row {ridx}")
             delta = _parse_binary(row[1], ridx, "status")
             a = _parse_binary(row[2], ridx, "trt")
             enc = np.zeros(schema.encoded_width)
@@ -266,87 +264,62 @@ def load_dataset(path: str | Path, schema: CovariateSchema,
                           np.vstack(rows_enc), schema)
 
 
-def _censored_lognormal_loglik(beta: np.ndarray, eta: float, ly: np.ndarray,
-                               delta: np.ndarray, X: np.ndarray) -> float:
+def _censored_lognormal_loglik(mu: float, eta: float, lu: np.ndarray,
+                               lc: np.ndarray) -> float:
+    """Log-likelihood of ``Normal(mu, exp(eta)^2)`` log times, observed at
+    ``lu`` and right-censored at ``lc``."""
     sigma = math.exp(eta)
-    s = (ly - X @ beta) / sigma
-    unc = delta == 1
-    ll = float(np.sum(-eta - 0.5 * s[unc] ** 2 - 0.5 * math.log(2 * math.pi)))
-    ll += float(np.sum(norm.logsf(s[~unc])))
-    return ll
+    ll = float(np.sum(-eta - 0.5 * ((lu - mu) / sigma) ** 2 - 0.5 * math.log(2 * math.pi)))
+    return ll + float(np.sum(norm.logsf((lc - mu) / sigma)))
 
 
-def _score_and_hessian(beta: np.ndarray, eta: float, ly: np.ndarray,
-                       unc: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the censored lognormal log-likelihood over
-    ``(beta, log sigma)``; ``unc`` marks the uncensored rows."""
-    p = X.shape[1]
+def _score_and_hessian(mu: float, eta: float, lu: np.ndarray,
+                       lc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``_censored_lognormal_loglik`` over
+    ``(mu, eta)``, with ``eta = log sigma``."""
     sigma = math.exp(eta)
-    s = (ly - X @ beta) / sigma
-    cen = ~unc
-    # hazard of the standard normal at censored points
-    lam = np.exp(norm.logpdf(s[cen]) - norm.logsf(s[cen]))
-    dlam = lam * (lam - s[cen])
-
-    g = np.empty(p + 1)
-    gw = np.zeros_like(s)
-    gw[unc] = s[unc] / sigma
-    gw[cen] = lam / sigma
-    g[:p] = X.T @ gw
-    g[p] = float(np.sum(s[unc] ** 2 - 1.0) + np.sum(s[cen] * lam))
-
-    H = np.empty((p + 1, p + 1))
-    w = np.zeros_like(s)
-    w[unc] = 1.0
-    w[cen] = dlam
-    H[:p, :p] = -(X.T * (w / sigma ** 2)) @ X
-    hmix = np.zeros_like(s)
-    hmix[unc] = -2.0 * s[unc] / sigma
-    hmix[cen] = -(s[cen] * dlam + lam) / sigma
-    H[:p, p] = H[p, :p] = X.T @ hmix
-    H[p, p] = float(np.sum(-2.0 * s[unc] ** 2) + np.sum(-s[cen] * (lam + s[cen] * dlam)))
+    su, sc = (lu - mu) / sigma, (lc - mu) / sigma
+    # hazard of the standard normal at the censored points
+    lam = np.exp(norm.logpdf(sc) - norm.logsf(sc))
+    dlam = lam * (lam - sc)
+    g = np.array([(np.sum(su) + np.sum(lam)) / sigma,
+                  np.sum(su ** 2 - 1.0) + np.sum(sc * lam)])
+    h_mu_eta = -(2.0 * np.sum(su) + np.sum(sc * dlam + lam)) / sigma
+    H = np.array([[-(su.shape[0] + np.sum(dlam)) / sigma ** 2, h_mu_eta],
+                  [h_mu_eta, -2.0 * np.sum(su ** 2) - np.sum(sc * (lam + sc * dlam))]])
     return g, H
 
 
-def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray):
-    """Censored lognormal MLE of ``ly ~ Normal(X beta, sigma^2)``.
+def fit_intercept_lognormal_aft(data: EncodedDataset) -> ResponseTransform:
+    """Maximum-likelihood ``(mu, sigma)`` of an intercept-only lognormal
+    survival model with right censoring.
 
-    Newton iteration on ``(beta, log sigma)`` with analytic gradient and
-    Hessian; censored rows contribute the upper-tail log-probability. The
-    log-likelihood and its gradient are sums over the n rows, so their
-    rounding error grows with n, and so do both tests against it: a damped
-    step may lower the log-likelihood by 1e-12 per row, and the iteration
-    stops at a gradient norm below ``AFT_GTOL`` or 1e-14 per row, the
-    larger, or fails after ``AFT_MAX_ITER`` steps.
-
-    Returns
-    -------
-    beta : np.ndarray
-        Coefficient estimates.
-    sigma : float
-        Residual scale estimate (clamped at 1e-6 for zero-variance input,
-        with a warning).
+    Newton iteration on ``(mu, log sigma)`` with analytic gradient and
+    Hessian, started from the mean and population sd of the uncensored log
+    times, which with no censoring are the answer. The log-likelihood and
+    its gradient are sums over the n rows, so their rounding error grows
+    with n, and so do both tests against it: a damped step may lower the
+    log-likelihood by 1e-12 per row, and the iteration stops at a gradient
+    norm below ``AFT_GTOL`` or 1e-14 per row, the larger, or fails after
+    ``AFT_MAX_ITER`` steps. Zero-variance responses clamp sigma at
+    ``SIGMA_FLOOR`` with a warning.
     """
-    ly = np.asarray(ly, dtype=float)
-    delta = np.asarray(delta)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    unc = delta == 1
+    ly = np.log(data.y)
+    unc = data.delta == 1
     if not unc.any():
         raise NumericError("likelihood unbounded: every observation is censored")
-    n, p = X.shape
-    gtol = max(AFT_GTOL, 1e-14 * n)
-    slack = 1e-12 * n
+    lu, lc = ly[unc], ly[~unc]
+    gtol = max(AFT_GTOL, 1e-14 * data.n)
+    slack = 1e-12 * data.n
 
-    beta, *_ = np.linalg.lstsq(X[unc], ly[unc], rcond=None)
-    resid0 = ly[unc] - X[unc] @ beta
-    s0 = float(np.sqrt(np.mean(resid0 ** 2)))
-    eta = math.log(max(s0, 1e-3))
+    mu = float(np.mean(lu))
+    eta = math.log(max(float(np.sqrt(np.mean((lu - mu) ** 2))), 1e-3))
     eta_floor = math.log(SIGMA_FLOOR)
 
-    ll = _censored_lognormal_loglik(beta, eta, ly, delta, X)
+    ll = _censored_lognormal_loglik(mu, eta, lu, lc)
     gnorm = math.inf
     for _ in range(AFT_MAX_ITER):
-        g, H = _score_and_hessian(beta, eta, ly, unc, X)
+        g, H = _score_and_hessian(mu, eta, lu, lc)
         gnorm = float(np.linalg.norm(g))
         if gnorm < gtol:
             break
@@ -357,41 +330,28 @@ def fit_linear_lognormal_aft(ly: np.ndarray, delta: np.ndarray, X: np.ndarray):
         if step is None or float(step @ g) <= 0:
             # Hessian not usable (singular or not negative definite at this
             # point); fall back to a unit-norm ascent step
-            step = g / max(1.0, float(np.linalg.norm(g)))
+            step = g / max(1.0, gnorm)
         # damped step: halve until the log-likelihood does not decrease by
         # more than its rounding error
         scale = 1.0
         for _half in range(60):
-            beta_new = beta + scale * step[:p]
-            eta_new = max(eta + scale * step[p], eta_floor)
-            ll_new = _censored_lognormal_loglik(beta_new, eta_new, ly, delta, X)
+            mu_new = mu + scale * float(step[0])
+            eta_new = max(eta + scale * float(step[1]), eta_floor)
+            ll_new = _censored_lognormal_loglik(mu_new, eta_new, lu, lc)
             if ll_new >= ll - slack:
                 break
             scale *= 0.5
-        beta, eta, ll = beta_new, eta_new, ll_new
+        mu, eta, ll = mu_new, eta_new, ll_new
         if eta <= eta_floor + 1e-12:
             warnings.warn(
                 "residual scale hit the 1e-6 floor (degenerate zero-variance responses); "
                 "sigma clamped", RuntimeWarning)
-            return beta, SIGMA_FLOOR
+            return ResponseTransform(mu_aft=mu, sigma_aft=SIGMA_FLOOR)
     else:
         raise NumericError(
             f"intercept AFT fit did not converge in {AFT_MAX_ITER} iterations; "
             f"final gradient norm {gnorm:.3e}")
-    return beta, math.exp(eta)
-
-
-def fit_intercept_lognormal_aft(data: EncodedDataset) -> ResponseTransform:
-    """Maximum-likelihood ``(mu, sigma)`` of an intercept-only lognormal
-    survival model with right censoring.
-
-    With no censoring this reduces to the mean and population standard
-    deviation of ``log y``.
-    """
-    ly = np.log(data.y)
-    ones = np.ones((data.n, 1))
-    beta, sigma = fit_linear_lognormal_aft(ly, data.delta, ones)
-    return ResponseTransform(mu_aft=float(beta[0]), sigma_aft=float(sigma))
+    return ResponseTransform(mu_aft=mu, sigma_aft=math.exp(eta))
 
 
 def transform_responses(data: EncodedDataset, t: ResponseTransform) -> EncodedDataset:

@@ -125,14 +125,6 @@ class PosteriorDraws:
     def n_patients(self) -> int:
         return self.m0.shape[1]
 
-    def acceptance_rates(self) -> dict[str, float]:
-        """Run-level acceptance rate per move type."""
-        prop = self.acc_proposed.sum(axis=0).astype(float)
-        acc = self.acc_accepted.sum(axis=0).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rates = np.where(prop > 0, acc / prop, np.nan)
-        return dict(zip(MOVE_ORDER, rates.tolist()))
-
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> None:

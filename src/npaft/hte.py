@@ -150,8 +150,9 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
     dropped term is below exp(-32) ~ 1.3e-14 of the kernel's peak.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 1 or np.any(np.diff(grid) <= 0):
-        raise DataError("grid must be strictly increasing")
+    if (grid.ndim != 1 or grid.shape[0] < 1 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise DataError("grid must be finite and strictly increasing")
     if bandwidth is not None and not bandwidth > 0:
         raise ConfigError(f"bandwidth must be positive, got {bandwidth}")
     alpha = _tail(level)
@@ -275,8 +276,9 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
     vector requires retained forests.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise DataError("times must be positive and strictly increasing")
+    if (times.ndim != 1 or not np.isfinite(times).all() or np.any(times <= 0)
+            or np.any(np.diff(times) <= 0)):
+        raise DataError("times must be finite, positive and strictly increasing")
     if (patient is None) == (x is None):
         raise ConfigError("give exactly one of patient index or covariate vector")
     alpha = _tail(level)
@@ -343,8 +345,8 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
         raise ConfigError(f"draw stride must be at least 1, got {draw_stride}")
     alpha = _tail(level)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 1:
-        raise DataError("grid must be a 1-D array")
+    if grid.ndim != 1 or grid.shape[0] < 1 or not np.isfinite(grid).all():
+        raise DataError("grid must be a 1-D array of finite values")
     if not 0 <= column < data.p_enc:
         raise DataError(f"covariate column {column} out of range")
     col_obs = data.X[:, column]

@@ -248,17 +248,12 @@ def update_cluster_labels(state: CdpState, centered_residuals: np.ndarray,
     The work array is component-major, ``(H, n)``, and every pass runs in
     place over it, so each reduction over the H components is H contiguous
     vector operations of length n rather than n short inner loops. The
-    result is bit-identical to the row-major formula
-
-        w = exp(logw - logw.max(1)); w /= w.sum(1)
-        S = (u[:, None] > cumsum(w, 1)).sum(1)
-
-    because every elementwise step is the same, ``max`` is exact, the
-    cumulative rows add the components one at a time in the order ``cumsum``
-    does, counting the rows below ``u`` gives the same count, and
-    ``_pairwise_rows`` adds the normaliser's H terms in the order numpy's
-    pairwise ``sum`` uses for a contiguous row. Keeping that summation order,
-    and the one ``rng.random(n)`` call, keeps ``draws.npz`` byte-identical.
+    weights are not normalised: the label counts the cumulative weights
+    C_0..C_{H-2} below ``u * Z``, where Z = C_{H-1}. That is the same draw
+    as comparing ``u`` with C_h / Z, as P(C_{h-1} < u Z <= C_h) = w_h / Z,
+    and from the same single ``rng.random(n)`` call it gives the labels of
+    ``S = (u[:, None] > cumsum(w / w.sum(1), 1)).sum(1)`` unless rounding
+    puts ``u`` within a few ulps of a cumulative weight.
     """
     r = np.asarray(centered_residuals)
     with np.errstate(divide="ignore"):
@@ -269,42 +264,12 @@ def update_cluster_labels(state: CdpState, centered_residuals: np.ndarray,
     np.subtract(logpi, d, out=d)
     d -= d.max(axis=0)
     np.exp(d, out=d)
-    d /= _pairwise_rows(d)
-    u = rng.random(r.shape[0])
     for h in range(1, state.H):
         np.add(d[h - 1], d[h], out=d[h])
-    S = np.greater(u, d).sum(axis=0, dtype=np.int32)
-    np.clip(S, 0, state.H - 1, out=S)
-    state.S = S
-    state.n_h = np.bincount(S, minlength=state.H)
+    u = rng.random(r.shape[0]) * d[-1]
+    state.S = np.greater(u, d[:-1]).sum(axis=0, dtype=np.int32)
+    state.n_h = np.bincount(state.S, minlength=state.H)
     return state
-
-
-def _pairwise_rows(w: np.ndarray) -> np.ndarray:
-    """Column sums of ``w`` (k, n), adding the k terms of each column in the
-    order numpy's pairwise summation adds a contiguous length-k row: left to
-    right below 8 terms; up to 128 terms, eight running sums over the first
-    ``k - k % 8`` terms combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-    then the rest; above 128, the two halves split at a multiple of 8."""
-    k = w.shape[0]
-    if k < 8:
-        res = w[0].copy()
-        for row in w[1:]:
-            res += row
-        return res
-    if k <= 128:
-        r = w[:8].copy()
-        stop = k - k % 8
-        for i in range(8, stop, 8):
-            r += w[i:i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        res = r[0] + r[1]
-        for row in w[stop:]:
-            res += row
-        return res
-    half = k // 2 - (k // 2) % 8
-    return _pairwise_rows(w[:half]) + _pairwise_rows(w[half:])
 
 
 def update_stick_weights(state: CdpState, rng: np.random.Generator) -> CdpState:

@@ -165,6 +165,18 @@ def test_all_censored_data_exits_with_numeric_error(tmp_path):
     assert "every row is censored" in result.output
 
 
+def test_infinite_time_exits_with_input_error_naming_the_row(tmp_path):
+    trial = write_trial(tmp_path, make_dataset(n=20))
+    csv_path = tmp_path / "trial.csv"
+    lines = csv_path.read_text().splitlines()
+    lines[5] = "inf" + lines[5][lines[5].index(","):]  # data row 5
+    csv_path.write_text("\n".join(lines) + "\n")
+    result = invoke("fit", *trial, "--config", write_yaml(tmp_path / "fit.yaml", TINY_FIT),
+                    "--out", tmp_path / "out", "--seed", 1)
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert "non-finite time at row 5" in result.output
+
+
 @pytest.mark.parametrize("cv_doc, expected", [
     # no grid: the fit block's tree count, not the class default of 200
     ({"fit": {"prior": {"n_trees": 50}}}, [(0.5, 2.0, 50)]),
@@ -348,6 +360,10 @@ def flag_args(run_dir, small_data, command):
     ("pdp", "--grid-points", 0, "--grid-points must be >= 1, got 0"),
     ("summarize", "--thresholds", "0,abc", "--thresholds: 'abc' is not a valid float"),
     ("summarize", "--thresholds", ",", "lists no values"),
+    ("survcurve", "--times", "1,nan", "--times: 'nan' is not a finite number"),
+    ("survcurve", "--times", "1:inf:3", "--times: 'inf' is not a finite number"),
+    ("pdp", "--grid", "0,-inf", "--grid: '-inf' is not a finite number"),
+    ("summarize", "--thresholds", "0,nan", "--thresholds: 'nan' is not a finite number"),
     ("summarize", "--grid-points", 0, "--grid-points must be >= 1, got 0"),
     ("summarize", "--bandwidth", 0, "bandwidth must be positive, got 0.0"),
     ("summarize", "--bandwidth", -0.5, "bandwidth must be positive, got -0.5"),

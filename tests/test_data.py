@@ -12,8 +12,7 @@ from npaft import (CdpHyper, ColumnSpec, CovariateSchema, DataError, EncodedData
                    FitConfig, ForestPrior, NumericError, ResponseTransform, bench,
                    engine, fit, fit_intercept_lognormal_aft, load_dataset,
                    split_point_grid, transform_responses)
-from npaft.data import _censored_lognormal_loglik, _score_and_hessian, \
-    fit_linear_lognormal_aft
+from npaft.data import _censored_lognormal_loglik, _score_and_hessian
 
 
 def write_csv(path, text):
@@ -63,6 +62,22 @@ class TestLoad:
         f = write_csv(tmp_path / "d.csv", "time,status,trt,x\n1,1,0,1\n0,1,0,1\n")
         with pytest.raises(DataError, match="nonpositive time at row 2"):
             load_dataset(f, schema)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+    def test_non_finite_time(self, tmp_path, token):
+        schema = CovariateSchema([ColumnSpec("x", "continuous")])
+        f = write_csv(tmp_path / "d.csv", f"time,status,trt,x\n1,1,0,1\n2,1,0,1\n{token},1,0,1\n")
+        with pytest.raises(DataError, match="non-finite time at row 3"):
+            load_dataset(f, schema)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_from_arrays(self, bad):
+        y = np.array([1.0, 0.0, bad, 2.0])
+        with pytest.raises(DataError, match="non-finite time at row 3"):
+            EncodedDataset.from_arrays(y, np.ones(4), np.zeros(4), np.zeros((4, 1)))
+        y[2] = 3.0
+        with pytest.raises(DataError, match="nonpositive time at row 2"):
+            EncodedDataset.from_arrays(y, np.ones(4), np.zeros(4), np.zeros((4, 1)))
 
     def test_missing_value_names_row_and_column(self, tmp_path):
         schema = CovariateSchema([ColumnSpec("x", "continuous")])
@@ -175,8 +190,8 @@ class TestInterceptFit:
         n = 20_000
         data = EncodedDataset.from_arrays(sim.y[:n], sim.delta[:n], sim.a[:n], sim.X[:n])
         t = fit_intercept_lognormal_aft(data)
-        g, _ = _score_and_hessian(np.array([t.mu_aft]), math.log(t.sigma_aft),
-                                  np.log(data.y), data.delta == 1, np.ones((n, 1)))
+        ly, unc = np.log(data.y), data.delta == 1
+        g, _ = _score_and_hessian(t.mu_aft, math.log(t.sigma_aft), ly[unc], ly[~unc])
         assert np.linalg.norm(g) < 1e-14 * n
 
 
@@ -184,25 +199,24 @@ class TestScoreAndHessian:
     @pytest.fixture
     def problem(self, rng):
         n = 30
-        X = np.column_stack([np.ones(n), rng.standard_normal((n, 2))])
-        ly = X @ np.array([0.5, 0.3, -0.2]) + rng.normal(0.0, 0.8, n)
-        delta = (rng.random(n) < 0.6).astype(int)
-        return ly, delta, X
+        ly = rng.normal(0.5, 0.8, n)
+        unc = rng.random(n) < 0.6
+        return ly[unc], ly[~unc]
 
     def test_derivatives_match_finite_differences(self, problem):
-        ly, delta, X = problem
-        theta = np.array([0.4, 0.2, -0.1, math.log(0.9)])
-        g, H = _score_and_hessian(theta[:3], theta[3], ly, delta == 1, X)
+        lu, lc = problem
+        theta = np.array([0.4, math.log(0.9)])
+        g, H = _score_and_hessian(*theta, lu, lc)
 
         def loglik(t):
-            return _censored_lognormal_loglik(t[:3], t[3], ly, delta, X)
+            return _censored_lognormal_loglik(*t, lu, lc)
 
         def grad(t):
-            return _score_and_hessian(t[:3], t[3], ly, delta == 1, X)[0]
+            return _score_and_hessian(*t, lu, lc)[0]
 
         h = 1e-5
-        for j in range(4):
-            e = np.zeros(4)
+        for j in range(2):
+            e = np.zeros(2)
             e[j] = h
             assert g[j] == pytest.approx((loglik(theta + e) - loglik(theta - e)) / (2 * h),
                                          rel=1e-6, abs=1e-6)
@@ -211,9 +225,12 @@ class TestScoreAndHessian:
         assert np.allclose(H, H.T, rtol=1e-12, atol=0)
 
     def test_fit_stops_at_a_stationary_maximum(self, problem):
-        ly, delta, X = problem
-        beta, sigma = fit_linear_lognormal_aft(ly, delta, X)
-        g, H = _score_and_hessian(beta, math.log(sigma), ly, delta == 1, X)
+        lu, lc = problem
+        data = EncodedDataset.from_arrays(
+            np.exp(np.concatenate([lu, lc])), np.repeat([1, 0], [lu.size, lc.size]),
+            np.zeros(lu.size + lc.size, int), np.zeros((lu.size + lc.size, 1)))
+        t = fit_intercept_lognormal_aft(data)
+        g, H = _score_and_hessian(t.mu_aft, math.log(t.sigma_aft), lu, lc)
         assert np.linalg.norm(g) < 1e-10
         assert np.all(np.linalg.eigvalsh(H) < 0)
 

@@ -6,7 +6,7 @@ import pytest
 
 from npaft import EncodedDataset, PosteriorDraws, ResponseTransform, engine, fit, hte
 from npaft import stdnorm as norm
-from npaft.errors import ConfigError
+from npaft.errors import ConfigError, DataError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
                        partial_dependence, proportion_benefiting, survival_curve)
 from conftest import make_dataset
@@ -404,3 +404,22 @@ LEVEL_CALLS = {
 def test_level_outside_zero_one_is_a_config_error(call, level):
     with pytest.raises(ConfigError, match="level must be strictly between 0 and 1"):
         LEVEL_CALLS[call](level)
+
+
+POINT_CALLS = {
+    "effect_distribution": lambda points: effect_distribution(
+        IteDraws(BENEFIT_THETA, "log"), points),
+    "survival_curve": lambda points: survival_curve(
+        hand_draws(**TestSurvivalCurve.DRAWS), 1, points, patient=0),
+    "partial_dependence": lambda points: partial_dependence(
+        pdp_hand_draws(*PDP_FORESTS), PDP_DATA, 0, points),
+}
+
+
+@pytest.mark.parametrize("call", POINT_CALLS)
+@pytest.mark.parametrize("points", [[1.0, math.nan], [math.nan, 1.0], [0.5, math.inf]])
+def test_non_finite_evaluation_point_is_a_data_error(call, points):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="finite"):
+            POINT_CALLS[call](np.array(points))
