@@ -16,7 +16,6 @@ import functools
 import hashlib
 import json
 import sys
-import zipfile
 from pathlib import Path
 
 import click
@@ -213,10 +212,7 @@ def _load_draws(draws_dir: str, need_forests: bool = False) -> PosteriorDraws:
     f = d / DRAWS_FILE
     if not f.exists():
         raise DataError(f"no draw file at {f}")
-    try:
-        draws = PosteriorDraws.load(f)
-    except (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"corrupt draw file {f}: {exc}") from None
+    draws = PosteriorDraws.load(f)
     forests = d / FORESTS_FILE
     if forests.exists():
         draws.load_forests(forests)
@@ -355,8 +351,6 @@ def _parse_grid(spec: str, what: str) -> np.ndarray:
 def cmd_survcurve(draws_dir, out_path, arm, patient, times, level):
     """Posterior survival curve for one patient and arm."""
     draws = _load_draws(draws_dir)
-    if not 0 <= patient < draws.n_patients:
-        raise DataError(f"patient index {patient} out of range (n={draws.n_patients})")
     grid = _parse_grid(times, "--times")
     curve = survival_curve(draws, arm, grid, patient=patient, level=level)
     out = _out_dir(out_path)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import log_ndtr
 
-from . import stdnorm as norm
 from .errors import ConfigError, DataError, NumericError
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "."}
@@ -33,6 +33,7 @@ COLUMN_KINDS = ("continuous", "binary", "categorical")
 
 SIGMA_FLOOR = 1e-6
 AFT_MAX_ITER, AFT_GTOL = 200, 1e-10  # Newton steps and gradient-norm tolerance
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,6 @@ class EncodedDataset:
                                   for j in range(X.shape[1])])
         return cls(np.asarray(y, float), np.asarray(delta), np.asarray(a), X, schema)
 
-    def replace_y(self, y: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(y, self.delta, self.a, self.X, self.schema)
-
     def subset(self, rows: np.ndarray) -> "EncodedDataset":
         return EncodedDataset(self.y[rows], self.delta[rows], self.a[rows],
                               self.X[rows], self.schema)
@@ -207,9 +205,9 @@ def load_dataset(path: str | Path, schema: CovariateSchema,
                  delimiter: str = ",") -> EncodedDataset:
     """Load a delimiter-separated file with header ``time,status,trt,<covariates...>``.
 
-    Missing values, unknown categorical levels and non-finite or nonpositive
-    times are load-time errors naming the offending row and column. Row numbers in
-    error messages count data rows from 1.
+    Missing values, unknown categorical levels, non-finite covariates and
+    non-finite or nonpositive times are load-time errors naming the offending
+    row and column. Row numbers in error messages count data rows from 1.
     """
     path = Path(path)
     if not path.exists():
@@ -253,6 +251,9 @@ def load_dataset(path: str | Path, schema: CovariateSchema,
                     enc[pos] = _parse_binary(token, ridx, c.name)
                 else:
                     enc[pos] = _parse_float(token, ridx, c.name)
+                    if not math.isfinite(enc[pos]):
+                        raise DataError(
+                            f"non-finite value {t!r} at row {ridx}, column {c.name!r}")
                 pos += c.encoded_width
             ys.append(y)
             deltas.append(delta)
@@ -270,7 +271,7 @@ def _censored_lognormal_loglik(mu: float, eta: float, lu: np.ndarray,
     ``lu`` and right-censored at ``lc``."""
     sigma = math.exp(eta)
     ll = float(np.sum(-eta - 0.5 * ((lu - mu) / sigma) ** 2 - 0.5 * math.log(2 * math.pi)))
-    return ll + float(np.sum(norm.logsf((lc - mu) / sigma)))
+    return ll + float(np.sum(log_ndtr(-((lc - mu) / sigma))))
 
 
 def _score_and_hessian(mu: float, eta: float, lu: np.ndarray,
@@ -280,7 +281,7 @@ def _score_and_hessian(mu: float, eta: float, lu: np.ndarray,
     sigma = math.exp(eta)
     su, sc = (lu - mu) / sigma, (lc - mu) / sigma
     # hazard of the standard normal at the censored points
-    lam = np.exp(norm.logpdf(sc) - norm.logsf(sc))
+    lam = np.exp(-sc ** 2 / 2.0 - _LOG_SQRT_2PI - log_ndtr(-sc))
     dlam = lam * (lam - sc)
     g = np.array([(np.sum(su) + np.sum(lam)) / sigma,
                   np.sum(su ** 2 - 1.0) + np.sum(sc * lam)])
@@ -359,7 +360,7 @@ def transform_responses(data: EncodedDataset, t: ResponseTransform) -> EncodedDa
     y_tr = data.y * math.exp(-t.mu_aft)
     if not np.isfinite(y_tr).all():
         raise NumericError("response transformation overflowed")
-    return data.replace_y(y_tr)
+    return EncodedDataset(y_tr, data.delta, data.a, data.X, data.schema)
 
 
 def split_point_grid(column: np.ndarray, max_points: int = 100) -> np.ndarray:

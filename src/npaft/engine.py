@@ -150,13 +150,21 @@ class PosteriorDraws:
 
     @classmethod
     def load(cls, path: str | Path) -> "PosteriorDraws":
-        with np.load(path) as z:
-            header = json.loads(bytes(z["header"]).decode())
-            if header.get("schema_version") != DRAWS_SCHEMA_VERSION:
-                raise DataError(f"unsupported draw-file schema: {header.get('schema_version')}")
-            return cls(**{c.name: z[c.name] for c in _COLUMNS},
-                       transform=ResponseTransform(header["mu_aft"], header["sigma_aft"]),
-                       config=header["config"], sigma_tau_sq=header["sigma_tau_sq"])
+        """Read a file written by ``save``; a missing or unreadable file, a
+        truncated one included, is a ``DataError`` naming it."""
+        try:
+            with np.load(path) as z:
+                header = json.loads(bytes(z["header"]).decode())
+                version = header.get("schema_version")
+                if version == DRAWS_SCHEMA_VERSION:
+                    return cls(**{c.name: z[c.name] for c in _COLUMNS},
+                               transform=ResponseTransform(header["mu_aft"],
+                                                           header["sigma_aft"]),
+                               config=header["config"], sigma_tau_sq=header["sigma_tau_sq"])
+        except (ValueError, TypeError, KeyError, OSError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise DataError(f"cannot read draw file {path}: {exc}") from None
+        raise DataError(f"unsupported draw-file schema: {version}")
 
     def save_forests(self, path: str | Path) -> None:
         """Write every retained draw's forest to one ``.npz`` at exactly
@@ -202,10 +210,6 @@ class PosteriorDraws:
 
 
 _COLUMNS = tuple(f for f in fields(PosteriorDraws) if "about" in f.metadata)
-
-
-def _build_grids(U: np.ndarray, max_points: int) -> list[np.ndarray]:
-    return [split_point_grid(U[:, k], max_points) for k in range(U.shape[1])]
 
 
 def _draw_store(total: int, n: int, H: int) -> dict[str, np.ndarray]:
@@ -417,7 +421,7 @@ def fit(data: EncodedDataset, config: FitConfig,
         hyper = replace(hyper, sigma_tau_sq=calibrate_scale(transform.sigma_aft, hyper))
 
     U = np.column_stack([data_tr.a.astype(float), data_tr.X])
-    grids = _build_grids(U, config.max_split_points)
+    grids = [split_point_grid(col, config.max_split_points) for col in U.T]
     prior = replace(config.prior, zeta=4.0 * transform.sigma_aft)
     store = _draw_store(config.chains * config.draws_per_chain, data_tr.n, hyper.H)
     job = _ChainJob(config=config, hyper=hyper, prior=prior, transform=transform,
@@ -437,19 +441,31 @@ def fit(data: EncodedDataset, config: FitConfig,
                           sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
 
 
+def check_arm(a) -> None:
+    if a not in (0, 1):
+        raise ConfigError(f"arm must be 0 or 1, got {a!r}")
+
+
 def predict_m(draws: PosteriorDraws, a: int, x: np.ndarray) -> np.ndarray:
     """Per-draw regression-function values at new covariates.
 
     ``x`` is one encoded covariate vector or a matrix of rows; returns shape
-    (draws,) or (draws, rows) on the original log-time scale. Covariates of
-    another width than the fit's raise a ``DataError``.
+    (draws,) or (draws, rows) on the original log-time scale. An arm other
+    than 0 or 1 is a ``ConfigError``; a non-finite covariate, which would
+    go right at every split, and covariates of another width than the
+    fit's are ``DataError``s.
     """
+    check_arm(a)
     if draws.forests is None:
         raise DataError("forest checkpoints were not retained; "
                         "refit with keep_forests=True to enable prediction")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     X = np.atleast_2d(x)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"non-finite covariate {X[i, j]} at row {i}, column {j}")
     U = np.column_stack([np.full(X.shape[0], float(a)), X])
     out = np.empty((draws.n_draws, X.shape[0]))
     for d, pf in enumerate(draws.forests):

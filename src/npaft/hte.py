@@ -15,15 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import stdnorm as norm
 from .data import EncodedDataset
-from .engine import PosteriorDraws, predict_m
+from .engine import PosteriorDraws, check_arm, predict_m
 from .errors import ConfigError, DataError, NumericError
 
 STRONG_CUT = 0.95
 MILD_CUT = 0.80
 BENEFIT_BANDS = ((0.99, 1.0), (0.95, 0.99), (0.75, 0.95), (0.25, 0.75), (0.0, 0.25))
 SURVIVAL_CHUNK = 256  # draws per block of survival_curve's draws x times x H array
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def _tail(level: float) -> float:
@@ -174,8 +174,9 @@ def effect_distribution(draws: IteDraws, grid: np.ndarray,
     values, counts = np.unique(theta, return_counts=True)
     starts = np.searchsorted(values, grid - 8.0 * bandwidth, side="left")
     stops = np.searchsorted(values, grid + 8.0 * bandwidth, side="right")
-    density = np.array([counts[s:e] @ norm.pdf((t - values[s:e]) / bandwidth)
-                        for t, s, e in zip(grid, starts, stops)]) / (theta.size * bandwidth)
+    density = np.array([
+        counts[s:e] @ (np.exp(-((t - values[s:e]) / bandwidth) ** 2 / 2.0) / _SQRT_2PI)
+        for t, s, e in zip(grid, starts, stops)]) / (theta.size * bandwidth)
 
     if np.any(np.diff(cdf) < 0) or cdf[0] < 0 or cdf[-1] > 1:
         raise NumericError("effect CDF estimate is not a proper CDF")
@@ -273,8 +274,10 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
     """Posterior survival curve for one arm at a patient's covariates.
 
     For training patients the stored fits are reused; an explicit covariate
-    vector requires retained forests.
+    vector requires retained forests. An arm other than 0 or 1 is a
+    ``ConfigError``, and a patient index outside [0, n) a ``DataError``.
     """
+    check_arm(a)
     times = np.asarray(times, dtype=float)
     if (times.ndim != 1 or not np.isfinite(times).all() or np.any(times <= 0)
             or np.any(np.diff(times) <= 0)):
@@ -283,8 +286,9 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
         raise ConfigError("give exactly one of patient index or covariate vector")
     alpha = _tail(level)
     if patient is not None:
-        m = draws.m1[:, patient] if a == 1 else draws.m0[:, patient]
-        m = np.asarray(m)
+        if not 0 <= patient < draws.n_patients:
+            raise DataError(f"patient index {patient} out of range (n={draws.n_patients})")
+        m = np.asarray(draws.m1[:, patient] if a == 1 else draws.m0[:, patient])
     else:
         m = predict_m(draws, a, x)
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import chdtrc, chdtri, gammaincinv, ndtr
+from scipy.special import chdtrc, chdtri, gammaincinv, ndtr, ndtri
 
-from . import stdnorm as norm
 from .errors import ConfigError, NumericError
 
 TAIL_SWITCH = 5.0  # standardized bound beyond which the tail sampler takes over
@@ -342,10 +341,10 @@ def sample_truncnorm_lower(mean, sd, lower, rng: np.random.Generator) -> np.ndar
     easy = a <= TAIL_SWITCH
     if easy.any():
         ae = a[easy]
-        lo = norm.cdf(ae)
+        lo = ndtr(ae)
         u = lo + (1.0 - lo) * rng.random(ae.shape[0])
-        # u can round to 1.0 when the bound is far left; ppf stays finite
-        out[easy] = norm.ppf(np.minimum(u, 1.0 - 1e-16))
+        # u can round to 1.0 when the bound is far left; ndtri stays finite
+        out[easy] = ndtri(np.minimum(u, 1.0 - 1e-16))
     hard = ~easy
     if hard.any():
         ah = a[hard]

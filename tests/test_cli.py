@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import npaft
 from npaft import CdpHyper, FitConfig, ForestPrior, ResidualFamily, SimScenario, fit
 from npaft import bench, cli
 from npaft.cli import DRAWS_FILE, EXIT_CONFIG, EXIT_INPUT, FORESTS_FILE, main
@@ -342,6 +346,15 @@ def test_level_outside_zero_one_exits_with_config_error(run_dir, small_data, com
     assert "level must be strictly between 0 and 1" in result.output
 
 
+@pytest.mark.parametrize("patient", [-1, 60])
+def test_survcurve_patient_out_of_range_exits_with_input_error(run_dir, patient):
+    result = invoke("survcurve", run_dir, "--arm", 1, "--patient", patient,
+                    "--times", "1,2", "--out", run_dir / "curve")
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert f"patient index {patient} out of range (n=60)" in result.output
+    assert not (run_dir / "curve").exists()
+
+
 # command -> its arguments before the flag under test
 def flag_args(run_dir, small_data, command):
     return {"summarize": [run_dir],
@@ -386,3 +399,15 @@ def test_crossval_with_more_folds_than_half_the_rows_exits_before_fitting(
                     "--seed", 5)
     assert result.exit_code == EXIT_CONFIG, result.output
     assert "30 folds is more than 40 rows allow: at most 20" in result.output
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes nearly as long to import as everything else the
+    # package loads, and every command pays for what the import loads
+    code = "import sys, npaft; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(npaft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -70,6 +70,14 @@ class TestLoad:
         with pytest.raises(DataError, match="non-finite time at row 3"):
             load_dataset(f, schema)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "1e999"])
+    def test_non_finite_covariate_names_row_and_column(self, tmp_path, token):
+        schema = CovariateSchema([ColumnSpec("w", "continuous"), ColumnSpec("x", "continuous")])
+        f = write_csv(tmp_path / "d.csv",
+                      f"time,status,trt,w,x\n1,1,0,1,1\n2,1,0,1, {token}\n3,1,0,1,1\n")
+        with pytest.raises(DataError, match=f"non-finite value '{token}' at row 2, column 'x'"):
+            load_dataset(f, schema)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_time_from_arrays(self, bad):
         y = np.array([1.0, 0.0, bad, 2.0])

@@ -332,6 +332,25 @@ class TestPredict:
             with pytest.raises(DataError, match=f"{width} covariates, the fit had 3"):
                 partial_dependence(draws, data, 0, np.array([0.0]))
 
+    def test_non_finite_covariate_is_a_data_error(self, small_data):
+        # NaN fails every u <= c test, so without the check it would go right
+        # at every split and come back as a finite fit
+        draws = fit(small_data, small_config(keep_forests=True))
+        X = small_data.X[:4].copy()
+        X[2, 1] = np.nan
+        with pytest.raises(DataError, match="non-finite covariate nan at row 2, column 1"):
+            predict_m(draws, 1, X)
+        x = small_data.X[0].copy()
+        x[0] = -np.inf
+        with pytest.raises(DataError, match="non-finite covariate -inf at row 0, column 0"):
+            predict_m(draws, 0, x)
+
+    @pytest.mark.parametrize("arm", [2, -1, 0.5])
+    def test_arm_other_than_0_or_1_is_a_config_error(self, small_data, arm):
+        draws = fit(small_data, small_config(keep_forests=True))
+        with pytest.raises(ConfigError, match=f"arm must be 0 or 1, got {arm}"):
+            predict_m(draws, arm, small_data.X[0])
+
     def test_requires_forests(self, small_data):
         draws = fit(small_data, small_config(keep_forests=False))
         with pytest.raises(DataError, match="keep_forests"):
@@ -385,6 +404,15 @@ class TestPersistence:
         for bad in (truncated, old_json):
             with pytest.raises(DataError, match=bad.name):
                 draws.load_forests(bad)
+
+    def test_truncated_draw_file_is_a_data_error_naming_it(self, small_data, tmp_path):
+        draws = fit(small_data, small_config())
+        good = tmp_path / "draws.npz"
+        draws.save(good)
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(good.read_bytes()[:len(good.read_bytes()) // 2])
+        with pytest.raises(DataError, match="cannot read draw file .*truncated.npz"):
+            PosteriorDraws.load(truncated)
 
     def test_save_is_byte_deterministic(self, small_data, tmp_path):
         draws = fit(small_data, small_config())

@@ -3,9 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from npaft import EncodedDataset, PosteriorDraws, ResponseTransform, engine, fit, hte
-from npaft import stdnorm as norm
 from npaft.errors import ConfigError, DataError
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
                        partial_dependence, proportion_benefiting, survival_curve)
@@ -274,6 +274,23 @@ class TestSurvivalCurve:
     def test_needs_exactly_one_of_patient_and_covariates(self, patient, x):
         with pytest.raises(ConfigError, match="exactly one"):
             survival_curve(hand_draws(**self.DRAWS), 1, [1.0, 2.0], patient=patient, x=x)
+
+    @pytest.mark.parametrize("patient", [-1, 2, 5])
+    def test_patient_index_outside_the_rows_is_a_data_error(self, patient):
+        with pytest.raises(DataError, match=rf"patient index {patient} out of range \(n=2\)"):
+            survival_curve(hand_draws(**self.DRAWS), 1, [1.0, 2.0], patient=patient)
+
+    @pytest.mark.parametrize("arm", [2, -1, 0.5])
+    def test_arm_other_than_0_or_1_is_a_config_error(self, arm):
+        with pytest.raises(ConfigError, match=f"arm must be 0 or 1, got {arm}"):
+            survival_curve(hand_draws(**self.DRAWS), arm, [1.0, 2.0], patient=0)
+
+    def test_non_finite_covariate_is_a_data_error(self, forest_fit):
+        data, draws = forest_fit
+        x = data.X[0].copy()
+        x[1] = np.nan
+        with pytest.raises(DataError, match="non-finite covariate nan at row 0, column 1"):
+            survival_curve(draws, 1, [1.0, 2.0], x=x)
 
     def test_covariates_of_a_training_row_match_its_patient_index(self, small_data):
         with warnings.catch_warnings():
