@@ -141,8 +141,11 @@ class EncodedDataset:
         for what, bad in (("non-finite", ~np.isfinite(y)), ("nonpositive", y <= 0)):
             if bad.any():
                 raise DataError(f"{what} time at row {int(np.argmax(bad)) + 1}")
-        if not np.isfinite(X).all():
-            raise DataError("covariate matrix contains non-finite entries")
+        bad = np.argwhere(~np.isfinite(X))
+        if bad.size:
+            i, j = bad[0]
+            raise DataError(f"non-finite covariate {X[i, j]} at row {i + 1}, "
+                            f"column {schema.encoded_names[j]!r}")
         if not (np.isin(delta, (0, 1)).all() and np.isin(a, (0, 1)).all()):
             raise DataError("status and trt must be 0/1")
         self.y = y

@@ -47,7 +47,7 @@ from .mixture import CdpHyper, calibrate_scale, impute_censored, init_state, \
 MOVE_ORDER = tuple(MOVE_PROBS)
 DRAWS_SCHEMA_VERSION = 1
 FORESTS_SCHEMA_VERSION = 2
-_FOREST_FIELDS = ("var", "cut", "left", "right", "value")
+_FOREST_ARRAYS = ("trees_per_draw", "nodes_per_tree", "var", "cut", "left", "right", "value")
 
 
 @dataclass
@@ -115,7 +115,7 @@ class PosteriorDraws:
     transform: ResponseTransform
     config: dict
     sigma_tau_sq: float
-    forests: list[PackedForest] | None = None
+    forests: PackedForest | None = None  # every retained draw's forest
 
     @property
     def n_draws(self) -> int:
@@ -172,41 +172,32 @@ class PosteriorDraws:
         tree, the tree count of each draw, and the predictor column count."""
         if self.forests is None:
             raise DataError("no forests retained; refit with keep_forests=True")
-        fs = self.forests
+        pf = self.forests
         with open(path, "wb") as fh:  # a bare path would get ".npz" appended
             np.savez(fh, schema_version=np.int32(FORESTS_SCHEMA_VERSION),
-                     n_cols=np.int32(fs[0].n_cols),
-                     trees_per_draw=np.array([pf.n_trees for pf in fs], dtype=np.int32),
-                     nodes_per_tree=np.concatenate([np.diff(pf.offsets) for pf in fs]),
-                     **{f: np.concatenate([getattr(pf, f) for pf in fs])
-                        for f in _FOREST_FIELDS})
+                     n_cols=np.int32(pf.n_cols), **{f: getattr(pf, f) for f in _FOREST_ARRAYS})
 
     def load_forests(self, path: str | Path) -> None:
-        """Read a file written by ``save_forests``."""
+        """Read a file written by ``save_forests``; a file of another draw
+        count than these draws' is a ``DataError``."""
         bad = f"{path} is not a forests file of schema {FORESTS_SCHEMA_VERSION}"
         try:
             with np.load(path, allow_pickle=False) as z:
                 version = int(z["schema_version"])
                 if version != FORESTS_SCHEMA_VERSION:
                     raise DataError(f"{bad}: it has schema {version}")
-                n_cols = int(z["n_cols"])
-                trees_per_draw, nodes_per_tree = z["trees_per_draw"], z["nodes_per_tree"]
-                fields = {f: z[f] for f in _FOREST_FIELDS}
+                pf = PackedForest(**{f: z[f] for f in _FOREST_ARRAYS}, n_cols=int(z["n_cols"]))
         except (OSError, ValueError, TypeError, KeyError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise DataError(f"{bad}: {exc}") from None
-        tree_start = np.concatenate([[0], np.cumsum(nodes_per_tree)])
-        draw_start = np.concatenate([[0], np.cumsum(trees_per_draw)])
-        if (draw_start[-1] != nodes_per_tree.shape[0]
-                or any(a.shape != (tree_start[-1],) for a in fields.values())):
+        if pf.trees_per_draw.sum() != pf.n_trees or any(
+                a.shape != (pf.nodes_per_tree.sum(),)
+                for a in (pf.var, pf.cut, pf.left, pf.right, pf.value)):
             raise DataError(f"{bad}: its node, tree and draw counts disagree")
-        forests = []
-        for t0, t1 in zip(draw_start[:-1], draw_start[1:]):
-            n0, n1 = tree_start[t0], tree_start[t1]
-            forests.append(PackedForest(**{f: a[n0:n1] for f, a in fields.items()},
-                                        offsets=(tree_start[t0:t1 + 1] - n0).astype(np.int32),
-                                        n_cols=n_cols))
-        self.forests = forests
+        if pf.n_draws != self.n_draws:
+            raise DataError(f"{path} holds the forests of {pf.n_draws} draws, "
+                            f"but there are {self.n_draws} draws")
+        self.forests = pf
 
 
 _COLUMNS = tuple(f for f in fields(PosteriorDraws) if "about" in f.metadata)
@@ -435,7 +426,7 @@ def fit(data: EncodedDataset, config: FitConfig,
             f"maximum occupied component index reached the truncation level in "
             f"{frac_hit:.1%} of sweeps; consider increasing H", RuntimeWarning)
 
-    forests = [pf for chain_forests, _ in results for pf in chain_forests] \
+    forests = PackedForest.stack([pf for chain_forests, _ in results for pf in chain_forests]) \
         if config.keep_forests else None
     return PosteriorDraws(**store, transform=transform, config=config.to_jsonable(),
                           sigma_tau_sq=hyper.sigma_tau_sq, forests=forests)
@@ -466,9 +457,6 @@ def predict_m(draws: PosteriorDraws, a: int, x: np.ndarray) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise DataError(f"non-finite covariate {X[i, j]} at row {i}, column {j}")
-    U = np.column_stack([np.full(X.shape[0], float(a)), X])
-    out = np.empty((draws.n_draws, X.shape[0]))
-    for d, pf in enumerate(draws.forests):
-        out[d] = pf.predict_matrix(U)
+    out = draws.forests.predict_matrix(np.column_stack([np.full(X.shape[0], float(a)), X]))
     out += draws.transform.mu_aft
     return out[:, 0] if single else out

@@ -7,8 +7,8 @@ drawn from per-column quantile grids; rule legality is tracked in grid-index
 space, so a proposal can never create a logically empty leaf, and proposals
 that would strand a leaf with zero training rows are rejected outright.
 ``route`` is the one function that reads a decision rule: live trees and
-packed per-draw snapshots carry the same node fields (``var``, ``cut``,
-``left``, ``right``) and both route rows through it.
+packed snapshots carry the same node fields (``var``, ``cut``, ``left``,
+``right``) and both route rows through it.
 
 The structure prior splits a depth-``d`` node with probability
 ``alpha * (1 + d)**-beta``; a node with no legal cut is a forced leaf. Leaf
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -715,71 +715,89 @@ def backfit_sweep(forest: Forest, shifted_responses: np.ndarray, sigma: float,
     return forest
 
 
-# -- compact per-draw snapshots -------------------------------------------
+# -- compact snapshots of the retained draws ------------------------------
 
 @dataclass
 class PackedForest:
-    """Flat-array snapshot of a forest's live nodes, for storage and batch
-    prediction; the node fields are those of a live ``Tree``."""
+    """Every retained draw's forest as flat arrays of its live nodes, laid out
+    as in the forests file: the draws end to end, each tree's nodes one block
+    in tree order. The node fields are those of a live ``Tree``."""
 
-    var: np.ndarray      # int32, -1 marks a leaf
-    cut: np.ndarray      # float64 cut values (NaN at leaves)
-    left: np.ndarray     # int32 node index within the forest (-1 at leaves)
+    var: np.ndarray             # int32, -1 marks a leaf
+    cut: np.ndarray             # float64 cut values (NaN at leaves)
+    left: np.ndarray            # int32 node index from the draw's first node (-1 at leaves)
     right: np.ndarray
-    value: np.ndarray    # float64 leaf values (0 at internal nodes)
-    offsets: np.ndarray  # int32 root index per tree, then the node count
-    n_cols: int          # predictor columns: the arm, then the covariates
+    value: np.ndarray           # float64 leaf values (0 at internal nodes)
+    nodes_per_tree: np.ndarray  # int32, over the trees of all draws
+    trees_per_draw: np.ndarray  # int32
+    n_cols: int                 # predictor columns: the arm, then the covariates
 
     @property
     def n_trees(self) -> int:
-        return self.offsets.shape[0] - 1
+        return self.nodes_per_tree.shape[0]
 
-    def arm_trees(self) -> PackedForest:
-        """The trees that split on the arm (column 0) at some node, in order.
+    @property
+    def n_draws(self) -> int:
+        return self.trees_per_draw.shape[0]
 
-        Any other tree gives a row the same fit in both arms, so it cancels
-        from a treated-minus-control difference. A tree's nodes are one
-        contiguous block and its children are forest-wide indices, so the
-        kept blocks are renumbered by one shift per tree."""
-        sizes = np.diff(self.offsets)
+    @classmethod
+    def stack(cls, packs: list[PackedForest]) -> PackedForest:
+        """The draws of ``packs``, in order, as one object."""
+        return cls(*(np.concatenate([getattr(pf, f.name) for pf in packs])
+                     for f in fields(cls) if f.name != "n_cols"),
+                   n_cols=packs[0].n_cols)
+
+    def arm_trees(self, draw_stride: int) -> PackedForest:
+        """Every ``draw_stride``-th draw with only its trees that split on the
+        arm (column 0): any other tree gives a row the same fit in both arms,
+        so it cancels from a treated-minus-control difference. A draw may keep
+        no tree. Each kept tree's children shift by the nodes dropped before
+        it in its draw."""
+        sizes = self.nodes_per_tree
         tree_of = np.repeat(np.arange(self.n_trees), sizes)
-        kept = np.zeros(self.n_trees, dtype=bool)
-        kept[tree_of[self.var == 0]] = True
+        draw_of = np.repeat(np.arange(self.n_draws), self.trees_per_draw)
+        kept = draw_of % draw_stride == 0
+        kept &= np.bincount(tree_of[self.var == 0], minlength=self.n_trees) > 0
+        dropped = np.concatenate([[0], np.cumsum(np.where(kept, 0, sizes))])
+        first_tree = np.concatenate([[0], np.cumsum(self.trees_per_draw)])[:-1]
+        shift = np.repeat((dropped[:-1] - dropped[first_tree][draw_of])[kept], sizes[kept])
         node = kept[tree_of]
-        offsets = np.concatenate([[0], np.cumsum(sizes[kept])]).astype(np.int32)
-        shift = np.repeat(self.offsets[:-1][kept] - offsets[:-1], sizes[kept])
         var = self.var[node]
         leaf = var < 0
         left = np.where(leaf, -1, self.left[node] - shift).astype(np.int32)
         right = np.where(leaf, -1, self.right[node] - shift).astype(np.int32)
+        trees_per_draw = np.bincount(draw_of[kept], minlength=self.n_draws)[::draw_stride]
         return PackedForest(var, self.cut[node], left, right, self.value[node],
-                            offsets, self.n_cols)
-
-    def check_width(self, n_cols: int) -> None:
-        """``DataError`` unless rows of ``n_cols`` columns fit this forest."""
-        if n_cols != self.n_cols:
-            raise DataError(f"rows have {n_cols - 1} covariates, the fit had "
-                            f"{self.n_cols - 1} (each row is the arm, then the covariates)")
+                            sizes[kept], trees_per_draw.astype(np.int32), self.n_cols)
 
     def predict_matrix(self, U: np.ndarray) -> np.ndarray:
-        """Ensemble fit for every row of ``U``."""
+        """Every draw's ensemble fit for every row of ``U``, shape (draws,
+        rows); each draw adds its trees' fits in tree order. Rows of another
+        width than the fit's are a ``DataError``."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        self.check_width(U.shape[1])
+        if U.shape[1] != self.n_cols:
+            raise DataError(f"rows have {U.shape[1] - 1} covariates, the fit had "
+                            f"{self.n_cols - 1} (each row is the arm, then the covariates)")
         cols = np.ascontiguousarray(U.T)
         rows = np.arange(U.shape[0])
-        var, cut, left, right = (a.tolist() for a in (self.var, self.cut, self.left, self.right))
-        total = np.zeros(U.shape[0])
+        out = np.zeros((self.n_draws, U.shape[0]))
         assign = np.empty(U.shape[0], dtype=np.intp)
-        for root in self.offsets[:-1].tolist():
-            for leaf, rr in route(var, cut, left, right, cols, rows, root):
-                assign[rr] = leaf
-            total += self.value[assign]
-        return total
+        node_at = np.concatenate([[0], np.cumsum(self.nodes_per_tree)])
+        tree_at = np.concatenate([[0], np.cumsum(self.trees_per_draw)]).tolist()
+        for total, t0, t1 in zip(out, tree_at, tree_at[1:]):
+            n0, n1 = int(node_at[t0]), int(node_at[t1])  # lists of one draw's nodes at a time
+            var, cut, left, right = (a[n0:n1].tolist()
+                                     for a in (self.var, self.cut, self.left, self.right))
+            for root in (node_at[t0:t1] - n0).tolist():
+                for leaf, rr in route(var, cut, left, right, cols, rows, root):
+                    assign[rr] = n0 + leaf
+                total += self.value[assign]
+        return out
 
 
 def pack_forest(forest: Forest) -> PackedForest:
-    """Copy the live nodes of every tree into flat arrays, in slot order;
-    freed slots are dropped and child indices renumbered to match."""
+    """One draw: the live nodes of every tree copied into flat arrays, in slot
+    order; freed slots are dropped and child indices renumbered to match."""
     trees = forest.trees
     slots = [len(t.var) for t in trees]
     n = sum(slots)
@@ -801,7 +819,7 @@ def pack_forest(forest: Forest) -> PackedForest:
     left = np.where(leaf, -1, new_id[left + shift])
     right = np.where(leaf, -1, new_id[right + shift])
     value[~leaf] = 0.0
-    offsets = np.cumsum([0] + [k - len(t.free) for t, k in zip(trees, slots)])
     return PackedForest(var[live], cut[live], left[live].astype(np.int32),
                         right[live].astype(np.int32), value[live],
-                        offsets.astype(np.int32), forest.ws.p)
+                        np.array([k - len(t.free) for t, k in zip(trees, slots)], np.int32),
+                        np.array([len(trees)], np.int32), forest.ws.p)

@@ -275,7 +275,8 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
 
     For training patients the stored fits are reused; an explicit covariate
     vector requires retained forests. An arm other than 0 or 1 is a
-    ``ConfigError``, and a patient index outside [0, n) a ``DataError``.
+    ``ConfigError``, and a patient index that is not an integer in [0, n) a
+    ``DataError``.
     """
     check_arm(a)
     times = np.asarray(times, dtype=float)
@@ -286,6 +287,8 @@ def survival_curve(draws: PosteriorDraws, a: int, times: np.ndarray,
         raise ConfigError("give exactly one of patient index or covariate vector")
     alpha = _tail(level)
     if patient is not None:
+        if isinstance(patient, bool) or not isinstance(patient, (int, np.integer)):
+            raise DataError(f"patient index must be an integer, got {patient!r}")
         if not 0 <= patient < draws.n_patients:
             raise DataError(f"patient index {patient} out of range (n={draws.n_patients})")
         m = np.asarray(draws.m1[:, patient] if a == 1 else draws.m0[:, patient])
@@ -337,10 +340,10 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
 
     Only the trees that split on the arm are routed (``arm_trees``): any
     other tree gives a patient the same fit in both arms, so it cancels from
-    the difference, and a draw with no such tree gives exactly 0. Both arms
-    are routed in one call, on one matrix with the treated rows above the
-    control rows, in which only the pinned column changes between grid
-    values.
+    the difference, and a draw with no such tree gives exactly 0 unrouted.
+    The other draws and both arms go through one call per grid value, on one
+    matrix with the treated rows above the control rows, in which only the
+    pinned column changes between grid values.
     """
     if draws.forests is None:
         raise DataError("forest checkpoints were not retained; "
@@ -359,22 +362,19 @@ def partial_dependence(draws: PosteriorDraws, data: EncodedDataset, column: int,
         warnings.warn("partial-dependence grid extends beyond the observed "
                       "covariate range", RuntimeWarning)
 
-    forests = draws.forests[::draw_stride]
-    if forests:
-        forests[0].check_width(data.p_enc + 1)
-    subs = [pf.arm_trees() for pf in forests]
+    sub = draws.forests.arm_trees(draw_stride)
+    has_arm = sub.trees_per_draw > 0
+    sub.trees_per_draw = sub.trees_per_draw[has_arm]
     n = data.n
     # Fortran order: predict_matrix's transpose of it needs no copy
     U = np.empty((2 * n, data.p_enc + 1), order="F")
     U[:n, 0], U[n:, 0] = 1.0, 0.0
     U[:n, 1:], U[n:, 1:] = data.X, data.X
-    rho = np.zeros((len(subs), grid.shape[0]))
+    rho = np.zeros((has_arm.shape[0], grid.shape[0]))
     for gi, z in enumerate(grid):
         U[:, column + 1] = z
-        for di, sub in enumerate(subs):
-            if sub.n_trees:
-                f = sub.predict_matrix(U)
-                rho[di, gi] = (f[:n] - f[n:]).mean()
+        f = sub.predict_matrix(U)
+        rho[has_arm, gi] = (f[:, :n] - f[:, n:]).mean(axis=1)
     return PartialDependence(grid, rho.mean(axis=0),
                              np.quantile(rho, alpha, axis=0),
                              np.quantile(rho, 1.0 - alpha, axis=0),

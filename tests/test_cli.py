@@ -70,6 +70,19 @@ def test_pdp_with_corrupt_forests_file_exits_with_input_error(run_dir):
     assert FORESTS_FILE in result.output
 
 
+def test_pdp_with_forests_of_another_fit_exits_with_input_error(run_dir, small_data):
+    # run_dir holds an 80-draw fit; put a 10-draw fit's forests beside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        short = fit(small_data, small_config(iterations=50, keep_forests=True))
+    short.save_forests(run_dir / FORESTS_FILE)
+    trial = write_trial(run_dir, small_data)
+    result = invoke("pdp", run_dir, *trial, "--covariate", "x0", "--out", run_dir / "pdp")
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert "forests of 10 draws, but there are 80 draws" in result.output
+    assert not (run_dir / "pdp").exists()
+
+
 def test_summarize_with_truncated_draws_file_exits_with_input_error(run_dir):
     draws = run_dir / DRAWS_FILE
     data = draws.read_bytes()

@@ -87,6 +87,15 @@ class TestLoad:
         with pytest.raises(DataError, match="nonpositive time at row 2"):
             EncodedDataset.from_arrays(y, np.ones(4), np.zeros(4), np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("row, col, bad, where", [
+        (1, 0, math.nan, "nan at row 2, column 'x1'"),
+        (2, 1, -math.inf, "-inf at row 3, column 'x2'")])
+    def test_non_finite_covariate_from_arrays_names_row_and_column(self, row, col, bad, where):
+        X = np.ones((3, 2))
+        X[row, col] = bad
+        with pytest.raises(DataError, match=f"non-finite covariate {where}"):
+            EncodedDataset.from_arrays(np.ones(3), np.ones(3), np.array([0, 1, 0]), X)
+
     def test_missing_value_names_row_and_column(self, tmp_path):
         schema = CovariateSchema([ColumnSpec("x", "continuous")])
         f = write_csv(tmp_path / "d.csv", "time,status,trt,x\n1,1,0,1\n2,1,0,\n")

@@ -46,17 +46,19 @@ LSTSQ_DIGESTS = {
     1: "942ccfeb1b92101c8ebe4a6cf75999806c40a7fd6e26716bd27cdfe2ba3cfe41",
     2: "141fc056d689a9e2421f1c8d1cc26efbbc4ff9064207389510ee337adb36f624",
 }
+# SHA-256 of draws.npz from small_config() on make_dataset(censor_frac=0.3).
+# The digests above are taken on uncensored data, where imputation draws
+# nothing; this one also pins the truncated-normal draws of censored rows.
+CENSORED_DIGEST = "a5c577e26fe69b51f9ef6275f7dc4f3a67be21840e07033376199215b673811f"
 DIGEST_NOTE = (f"digests recorded with numpy 2.4, running numpy {np.__version__}; "
                "across numpy versions a mismatch may come from numpy's random streams "
                "or float kernels rather than from the sampler")
 
 
 def assert_same_forests(a, b):
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert pa.n_cols == pb.n_cols
-        for f in ("var", "cut", "left", "right", "value", "offsets"):
-            assert np.array_equal(getattr(pa, f), getattr(pb, f), equal_nan=True), f
+    for f in ("var", "cut", "left", "right", "value", "nodes_per_tree", "trees_per_draw",
+              "n_cols"):
+        assert np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True), f
 
 
 def acceptance_rates(draws: PosteriorDraws) -> dict[str, float]:
@@ -116,6 +118,10 @@ class TestFit:
     def test_draws_match_pinned_digest(self, small_data, chains):
         draws = fit(small_data, small_config(chains=chains))
         assert digest(draws) == PINNED_DIGESTS[chains], DIGEST_NOTE
+
+    def test_censored_draws_match_pinned_digest(self):
+        draws = fit(make_dataset(censor_frac=0.3), small_config())
+        assert digest(draws) == CENSORED_DIGEST, DIGEST_NOTE
 
     @pytest.mark.parametrize("chains", sorted(LSTSQ_DIGESTS))
     def test_draws_given_the_lstsq_transform_match_its_digest(self, small_data, chains):
@@ -389,6 +395,7 @@ class TestPersistence:
         draws.save_forests(ff)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.npz", "forests.json"]
         back.load_forests(ff)
+        assert back.forests.n_draws == draws.n_draws == 80
         assert_same_forests(back.forests, draws.forests)
         x = small_data.X[4]
         assert np.array_equal(predict_m(back, 1, x), predict_m(draws, 1, x))
@@ -404,6 +411,14 @@ class TestPersistence:
         for bad in (truncated, old_json):
             with pytest.raises(DataError, match=bad.name):
                 draws.load_forests(bad)
+
+    def test_forests_of_another_draw_count_are_a_data_error(self, small_data, tmp_path):
+        draws = fit(small_data, small_config(keep_forests=True))
+        short = tmp_path / "forests.npz"
+        fit(small_data, small_config(iterations=50, keep_forests=True)).save_forests(short)
+        with pytest.raises(DataError, match="forests.npz holds the forests of 10 draws, "
+                                            "but there are 80 draws"):
+            draws.load_forests(short)
 
     def test_truncated_draw_file_is_a_data_error_naming_it(self, small_data, tmp_path):
         draws = fit(small_data, small_config())

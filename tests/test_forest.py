@@ -39,7 +39,8 @@ def one_tree(ws):
 
 
 def packed_predict(forest, probes):
-    return pack_forest(forest).predict_matrix(np.asarray(probes, dtype=float))
+    """The fit of a one-draw pack: row 0 of its (draws, rows) prediction."""
+    return pack_forest(forest).predict_matrix(np.asarray(probes, dtype=float))[0]
 
 
 def walk_from(t, v, u):
@@ -570,11 +571,14 @@ class TestPackedForest:
         assert any(t.free for t in forest.trees)
         pf = pack_forest(forest)
         assert pf.var.shape[0] == sum(len(t.var) - len(t.free) for t in forest.trees)
-        assert np.array_equal(pf.predict_matrix(ws.U), forest.m_total)
+        assert pf.n_draws == 1 and pf.trees_per_draw.tolist() == [8]
+        assert pf.nodes_per_tree.tolist() == [len(t.var) - len(t.free) for t in forest.trees]
+        assert np.array_equal(pf.predict_matrix(ws.U), [forest.m_total])
 
     def test_json_roundtrip(self, rng, tmp_path):
-        """Packed forests of different sizes survive the forests file (which
-        replaced the JSON form) field for field."""
+        """Draws' packs of different sizes, stacked, survive the forests file
+        (which replaced the JSON form) field for field, and each draw's row of
+        the stack's prediction is that draw's own."""
         from npaft.data import ResponseTransform
         from npaft.engine import PosteriorDraws
         ws = make_ws(rng.standard_normal((12, 2)))
@@ -583,21 +587,26 @@ class TestPackedForest:
             forest = Forest(ws, ForestPrior(n_trees=n_trees, zeta=1.0))
             backfit_sweep(forest, rng.standard_normal(12), 1.0, rng)
             packed.append(pack_forest(forest))
-        empty = np.zeros((0, 0))
-        draws = PosteriorDraws(*([empty] * 12), transform=ResponseTransform(0.0, 1.0),
-                               config={}, sigma_tau_sq=1.0, forests=packed)
+        stacked = PackedForest.stack(packed)
+        assert stacked.trees_per_draw.tolist() == [3, 1] and stacked.n_trees == 4
+        for name in ("var", "cut", "left", "right", "value", "nodes_per_tree"):
+            assert np.array_equal(getattr(stacked, name),
+                                  np.concatenate([getattr(pf, name) for pf in packed]),
+                                  equal_nan=True), name
+        draws = PosteriorDraws(*([np.zeros((2, 0))] * 12), transform=ResponseTransform(0.0, 1.0),
+                               config={}, sigma_tau_sq=1.0, forests=stacked)
         f = tmp_path / "forests.npz"
         draws.save_forests(f)
         draws.forests = None
         draws.load_forests(f)
+        back = draws.forests
+        assert back.n_cols == stacked.n_cols
+        for name in ("var", "cut", "left", "right", "value", "nodes_per_tree", "trees_per_draw"):
+            assert np.array_equal(getattr(back, name), getattr(stacked, name),
+                                  equal_nan=True), name
         probes = rng.standard_normal((5, 2))
-        assert len(draws.forests) == len(packed)
-        for pf, back in zip(packed, draws.forests):
-            assert back.n_cols == pf.n_cols
-            for name in ("var", "cut", "left", "right", "value", "offsets"):
-                assert np.array_equal(getattr(back, name), getattr(pf, name),
-                                      equal_nan=True), name
-            assert np.array_equal(back.predict_matrix(probes), pf.predict_matrix(probes))
+        assert np.array_equal(back.predict_matrix(probes),
+                              np.vstack([pf.predict_matrix(probes) for pf in packed]))
 
     def test_route_yields_every_leaf_once(self, rng):
         ws = mixed_workspace(rng)
@@ -618,13 +627,13 @@ class TestPackedForest:
 
 
 def packed(trees, n_cols=3):
-    """A ``PackedForest`` from per-tree (var, cut, left, right, value) lists
-    whose child indices are already forest-wide."""
+    """A one-draw ``PackedForest`` from per-tree (var, cut, left, right,
+    value) lists whose child indices count from the draw's first node."""
     fields = [np.concatenate([np.asarray(t[i]) for t in trees]) for i in range(5)]
-    offsets = np.cumsum([0] + [len(t[0]) for t in trees])
     return PackedForest(fields[0].astype(np.int32), fields[1].astype(float),
                         fields[2].astype(np.int32), fields[3].astype(np.int32),
-                        fields[4].astype(float), offsets.astype(np.int32), n_cols)
+                        fields[4].astype(float), np.array([len(t[0]) for t in trees], np.int32),
+                        np.array([len(trees)], np.int32), n_cols)
 
 
 NAN = math.nan
@@ -633,26 +642,46 @@ COVARIATE_TREE = ([1, -1, -1], [0.0, NAN, NAN], [1, -1, -1], [2, -1, -1], [0.0, 
 # nodes 3-7: x2 <= 0.25 ? 1 : (arm <= 0.5 ? -0.5 : 1.5), the arm split below the root
 ARM_TREE = ([2, -1, 0, -1, -1], [0.25, NAN, 0.5, NAN, NAN], [4, -1, 6, -1, -1],
             [5, -1, 7, -1, -1], [0.0, 1.0, 0.0, -0.5, 1.5])
+# the same two trees in the other order: the arm tree at nodes 0-4
+ARM_TREE_FIRST = (ARM_TREE[0], ARM_TREE[1], [1, -1, 3, -1, -1], [2, -1, 4, -1, -1], ARM_TREE[4])
+COVARIATE_TREE_LAST = (COVARIATE_TREE[0], COVARIATE_TREE[1], [6, -1, -1], [7, -1, -1],
+                       COVARIATE_TREE[4])
 
 
 class TestArmTrees:
     def test_keeps_the_arm_tree_with_children_shifted(self):
-        sub = packed([COVARIATE_TREE, ARM_TREE]).arm_trees()
+        sub = packed([COVARIATE_TREE, ARM_TREE]).arm_trees(1)
         assert sub.n_trees == 1 and sub.n_cols == 3
-        assert sub.var.dtype == sub.left.dtype == sub.offsets.dtype == np.int32
+        assert (sub.var.dtype == sub.left.dtype == sub.nodes_per_tree.dtype
+                == sub.trees_per_draw.dtype == np.int32)
         assert np.array_equal(sub.var, ARM_TREE[0])
         assert np.array_equal(sub.cut, ARM_TREE[1], equal_nan=True)
         assert np.array_equal(sub.left, [1, -1, 3, -1, -1])
         assert np.array_equal(sub.right, [2, -1, 4, -1, -1])
         assert np.array_equal(sub.value, ARM_TREE[4])
-        assert np.array_equal(sub.offsets, [0, 5])
+        assert sub.nodes_per_tree.tolist() == [5] and sub.trees_per_draw.tolist() == [1]
         U = np.array([[1, -1, 0.0], [0, -1, 0.0], [1, 1, 1.0], [0, 1, 1.0]])
-        assert np.array_equal(sub.predict_matrix(U), [1.0, 1.0, 1.5, -0.5])
+        assert np.array_equal(sub.predict_matrix(U), [[1.0, 1.0, 1.5, -0.5]])
 
     def test_forest_with_no_arm_split_predicts_zeros(self):
-        sub = packed([COVARIATE_TREE]).arm_trees()
+        sub = packed([COVARIATE_TREE]).arm_trees(1)
         assert sub.n_trees == 0 and sub.var.shape == (0,)
-        assert np.array_equal(sub.predict_matrix(np.ones((4, 3))), np.zeros(4))
+        assert sub.trees_per_draw.tolist() == [0]
+        assert np.array_equal(sub.predict_matrix(np.ones((4, 3))), np.zeros((1, 4)))
+
+    def test_strided_draws_keep_children_counted_from_their_draw(self):
+        # draw 2 puts its arm tree first, so no node is dropped before it
+        draws = PackedForest.stack([packed([COVARIATE_TREE, ARM_TREE]), packed([COVARIATE_TREE]),
+                                    packed([ARM_TREE_FIRST, COVARIATE_TREE_LAST])])
+        U = np.array([[1, -1, 0.0], [0, -1, 0.0], [1, 1, 1.0], [0, 1, 1.0]])
+        arm_fit = [1.0, 1.0, 1.5, -0.5]
+        for stride, kept in ((1, [1, 0, 1]), (2, [1, 1]), (3, [1])):
+            sub = draws.arm_trees(stride)
+            assert sub.trees_per_draw.tolist() == kept
+            assert sub.left.tolist() == [1, -1, 3, -1, -1] * sum(kept)
+            assert sub.right.tolist() == [2, -1, 4, -1, -1] * sum(kept)
+            assert np.array_equal(sub.predict_matrix(U),
+                                  [arm_fit if k else [0.0] * 4 for k in kept])
 
     def test_matches_the_arm_difference_of_a_grown_forest(self, rng):
         ws = mixed_workspace(rng)
@@ -660,12 +689,12 @@ class TestArmTrees:
         uses_arm = [t.uses_column(0) for t in forest.trees]
         assert any(uses_arm) and not all(uses_arm)
         pf = pack_forest(forest)
-        sub = pf.arm_trees()
+        sub = pf.arm_trees(1)
         assert sub.n_trees == sum(uses_arm)
         probes = rng.standard_normal((40, ws.p))
         U = np.vstack([probes, probes])
         U[:40, 0], U[40:, 0] = 1.0, 0.0
-        full, arm = pf.predict_matrix(U), sub.predict_matrix(U)
+        full, arm = pf.predict_matrix(U)[0], sub.predict_matrix(U)[0]
         np.testing.assert_allclose(arm[:40] - arm[40:], full[:40] - full[40:],
                                    rtol=0, atol=1e-12)
 

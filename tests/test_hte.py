@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from npaft import EncodedDataset, PosteriorDraws, ResponseTransform, engine, fit, hte
 from npaft.errors import ConfigError, DataError
+from npaft.forest import PackedForest
 from npaft.hte import (IteDraws, allocate, default_bandwidth, effect_distribution,
                        partial_dependence, proportion_benefiting, survival_curve)
 from conftest import make_dataset
@@ -280,6 +281,18 @@ class TestSurvivalCurve:
         with pytest.raises(DataError, match=rf"patient index {patient} out of range \(n=2\)"):
             survival_curve(hand_draws(**self.DRAWS), 1, [1.0, 2.0], patient=patient)
 
+    @pytest.mark.parametrize("patient", [1.5, np.float64(1.0), True, np.bool_(False), "1"])
+    def test_patient_index_that_is_not_an_integer_is_a_data_error(self, patient):
+        with pytest.raises(DataError, match="patient index must be an integer, got "):
+            survival_curve(hand_draws(**self.DRAWS), 1, [1.0, 2.0], patient=patient)
+
+    @pytest.mark.parametrize("patient", [np.int64(1), np.int32(1), np.uint8(1)])
+    def test_numpy_integer_patient_index_is_accepted(self, patient):
+        draws = hand_draws(**self.DRAWS)
+        got = survival_curve(draws, 1, [1.0, 2.0], patient=patient)
+        want = survival_curve(draws, 1, [1.0, 2.0], patient=1)
+        assert np.array_equal(got.mean, want.mean)
+
     @pytest.mark.parametrize("arm", [2, -1, 0.5])
     def test_arm_other_than_0_or_1_is_a_config_error(self, arm):
         with pytest.raises(ConfigError, match=f"arm must be 0 or 1, got {arm}"):
@@ -324,24 +337,24 @@ PDP_GRID = np.array([-1.0, 1.0, 3.0])  # 3 lies beyond the observed x1
 
 def pdp_hand_draws(*forests):
     draws = hand_draws(sigma=np.ones(len(forests)))
-    draws.forests = [packed(trees) for trees in forests]
+    draws.forests = PackedForest.stack([packed(trees) for trees in forests])
     return draws
 
 
 def all_trees_rho(draws, data, column, grid, draw_stride):
     """Per draw and grid value, the mean over patients of every tree's
-    treated-minus-control fit: the loop arm-only routing replaced, kept as
-    its oracle."""
-    forests = draws.forests[::draw_stride]
+    treated-minus-control fit: the all-trees routing that arm-only routing
+    replaced, kept as its oracle."""
     n = data.n
-    rho = np.empty((len(forests), grid.shape[0]))
+    rho = np.empty((len(range(0, draws.n_draws, draw_stride)), grid.shape[0]))
     X_mod = data.X.copy()
     for gi, z in enumerate(grid):
         X_mod[:, column] = z
         U1 = np.column_stack([np.ones(n), X_mod])
         U0 = np.column_stack([np.zeros(n), X_mod])
-        for di, pf in enumerate(forests):
-            rho[di, gi] = float((pf.predict_matrix(U1) - pf.predict_matrix(U0)).mean())
+        f1, f0 = (draws.forests.predict_matrix(U)[::draw_stride] for U in (U1, U0))
+        for di in range(rho.shape[0]):
+            rho[di, gi] = float((f1[di] - f0[di]).mean())
     return rho
 
 
@@ -388,7 +401,7 @@ class TestPartialDependence:
             grid = np.quantile(data.X[:, column], [0.05, 0.3, 0.7, 0.95])
             got = partial_dependence(draws, data, column, grid, draw_stride)
             rho = all_trees_rho(draws, data, column, grid, draw_stride)
-            assert rho.shape[0] == len(draws.forests[::draw_stride])
+            assert rho.shape[0] == {1: 80, 7: 12}[draw_stride]
             for name, want in (("mean", rho.mean(axis=0)),
                                ("lower", np.quantile(rho, 0.025, axis=0)),
                                ("upper", np.quantile(rho, 0.975, axis=0))):
