@@ -20,6 +20,7 @@ workers (see ``fit``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import mmap
@@ -46,7 +47,7 @@ from .mixture import CdpHyper, calibrate_scale, impute_censored, init_state, \
 
 MOVE_ORDER = tuple(MOVE_PROBS)
 DRAWS_SCHEMA_VERSION = 1
-FORESTS_SCHEMA_VERSION = 2
+FORESTS_SCHEMA_VERSION = 3
 _FOREST_ARRAYS = ("trees_per_draw", "nodes_per_tree", "var", "cut", "left", "right", "value")
 
 
@@ -125,6 +126,14 @@ class PosteriorDraws:
     def n_patients(self) -> int:
         return self.m0.shape[1]
 
+    def _digest(self) -> str:
+        """SHA-256 of the draws' chain, iteration and scale bytes: what ties
+        a forests file to the fit that wrote it."""
+        h = hashlib.sha256()
+        for name in ("chain_id", "iteration", "sigma"):
+            h.update(np.ascontiguousarray(getattr(self, name)).tobytes())
+        return h.hexdigest()
+
     # -- persistence -----------------------------------------------------
 
     def save(self, path: str | Path) -> None:
@@ -169,17 +178,20 @@ class PosteriorDraws:
     def save_forests(self, path: str | Path) -> None:
         """Write every retained draw's forest to one ``.npz`` at exactly
         ``path``: the draws' node arrays end to end, the node count of each
-        tree, the tree count of each draw, and the predictor column count."""
+        tree, the tree count of each draw, the predictor column count, and
+        the draws' ``_digest``."""
         if self.forests is None:
             raise DataError("no forests retained; refit with keep_forests=True")
         pf = self.forests
         with open(path, "wb") as fh:  # a bare path would get ".npz" appended
             np.savez(fh, schema_version=np.int32(FORESTS_SCHEMA_VERSION),
-                     n_cols=np.int32(pf.n_cols), **{f: getattr(pf, f) for f in _FOREST_ARRAYS})
+                     n_cols=np.int32(pf.n_cols), **{f: getattr(pf, f) for f in _FOREST_ARRAYS},
+                     draws_digest=np.array(self._digest()))
 
     def load_forests(self, path: str | Path) -> None:
         """Read a file written by ``save_forests``; a file of another draw
-        count than these draws' is a ``DataError``."""
+        count than these draws', or saved with other draws, is a
+        ``DataError``."""
         bad = f"{path} is not a forests file of schema {FORESTS_SCHEMA_VERSION}"
         try:
             with np.load(path, allow_pickle=False) as z:
@@ -187,6 +199,7 @@ class PosteriorDraws:
                 if version != FORESTS_SCHEMA_VERSION:
                     raise DataError(f"{bad}: it has schema {version}")
                 pf = PackedForest(**{f: z[f] for f in _FOREST_ARRAYS}, n_cols=int(z["n_cols"]))
+                digest = str(z["draws_digest"])
         except (OSError, ValueError, TypeError, KeyError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise DataError(f"{bad}: {exc}") from None
@@ -197,6 +210,8 @@ class PosteriorDraws:
         if pf.n_draws != self.n_draws:
             raise DataError(f"{path} holds the forests of {pf.n_draws} draws, "
                             f"but there are {self.n_draws} draws")
+        if digest != self._digest():
+            raise DataError(f"{path} holds the forests of another fit than these draws")
         self.forests = pf
 
 

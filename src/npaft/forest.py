@@ -6,9 +6,10 @@ freed slots are recycled). Decision rules are ``u[k] <= c`` with cut values
 drawn from per-column quantile grids; rule legality is tracked in grid-index
 space, so a proposal can never create a logically empty leaf, and proposals
 that would strand a leaf with zero training rows are rejected outright.
-``route`` is the one function that reads a decision rule: live trees and
-packed snapshots carry the same node fields (``var``, ``cut``, ``left``,
-``right``) and both route rows through it.
+Live trees and packed snapshots carry the same node fields (``var``, ``cut``,
+``left``, ``right``), and two functions read a decision rule: ``route``
+gives each leaf's rows, for the moves, and ``tree_fit`` gives the fit at
+every row, for predictions and counterfactuals.
 
 The structure prior splits a depth-``d`` node with probability
 ``alpha * (1 + d)**-beta``; a node with no legal cut is a forced leaf. Leaf
@@ -140,6 +141,21 @@ def route(var, cut, left, right, cols, rows: np.ndarray, node: int):
         m = cols[k][rr] <= cut[w]
         stack.append((left[w], rr.compress(m)))
         stack.append((right[w], rr.compress(~m)))
+
+
+def tree_fit(var, cut, left, right, value, cols, node: int):
+    """The fit of the tree below ``node`` at every row of ``cols`` (one
+    array per predictor column): a leaf's value, or one ``np.where`` per
+    internal node between its children's fits, so each row gets its leaf's
+    stored value bit for bit. A row goes left when ``cols[var[w]] <= cut[w]``.
+    A leaf child's value is taken without a call."""
+    k = var[node]
+    if k < 0:
+        return value[node]
+    lw, rw = left[node], right[node]
+    return np.where(cols[k] <= cut[node],
+                    value[lw] if var[lw] < 0 else tree_fit(var, cut, left, right, value, cols, lw),
+                    value[rw] if var[rw] < 0 else tree_fit(var, cut, left, right, value, cols, rw))
 
 
 class Tree:
@@ -683,13 +699,9 @@ class Forest:
         cols = list(self.ws.cols)
         cols[0] = np.ascontiguousarray(flipped_arm, dtype=float)
         total = self.m_total.copy()
-        all_rows = np.arange(self.ws.n)
-        assign = np.empty(self.ws.n, dtype=np.intp)
         for j, t in enumerate(self.trees):
             if t.uses_column(0):
-                for leaf, rr in route(t.var, t.cut, t.left, t.right, cols, all_rows, 0):
-                    assign[rr] = leaf
-                total += t.values[assign] - self.fits[j]
+                total += tree_fit(t.var, t.cut, t.left, t.right, t.values, cols, 0) - self.fits[j]
         return total
 
 
@@ -742,10 +754,17 @@ class PackedForest:
 
     @classmethod
     def stack(cls, packs: list[PackedForest]) -> PackedForest:
-        """The draws of ``packs``, in order, as one object."""
-        return cls(*(np.concatenate([getattr(pf, f.name) for pf in packs])
-                     for f in fields(cls) if f.name != "n_cols"),
-                   n_cols=packs[0].n_cols)
+        """The draws of ``packs``, in order, as one object. It is built field
+        by field, and each field is dropped from the inputs (set to None) once
+        it is copied, so at most one field is held twice; the inputs are
+        spent."""
+        stacked = {}
+        for f in fields(cls):
+            if f.name != "n_cols":
+                stacked[f.name] = np.concatenate([getattr(pf, f.name) for pf in packs])
+                for pf in packs:
+                    setattr(pf, f.name, None)
+        return cls(**stacked, n_cols=packs[0].n_cols)
 
     def arm_trees(self, draw_stride: int) -> PackedForest:
         """Every ``draw_stride``-th draw with only its trees that split on the
@@ -779,19 +798,15 @@ class PackedForest:
             raise DataError(f"rows have {U.shape[1] - 1} covariates, the fit had "
                             f"{self.n_cols - 1} (each row is the arm, then the covariates)")
         cols = np.ascontiguousarray(U.T)
-        rows = np.arange(U.shape[0])
         out = np.zeros((self.n_draws, U.shape[0]))
-        assign = np.empty(U.shape[0], dtype=np.intp)
         node_at = np.concatenate([[0], np.cumsum(self.nodes_per_tree)])
         tree_at = np.concatenate([[0], np.cumsum(self.trees_per_draw)]).tolist()
         for total, t0, t1 in zip(out, tree_at, tree_at[1:]):
             n0, n1 = int(node_at[t0]), int(node_at[t1])  # lists of one draw's nodes at a time
-            var, cut, left, right = (a[n0:n1].tolist()
-                                     for a in (self.var, self.cut, self.left, self.right))
+            nodes = [a[n0:n1].tolist()
+                     for a in (self.var, self.cut, self.left, self.right, self.value)]
             for root in (node_at[t0:t1] - n0).tolist():
-                for leaf, rr in route(var, cut, left, right, cols, rows, root):
-                    assign[rr] = n0 + leaf
-                total += self.value[assign]
+                total += tree_fit(*nodes, cols, root)
         return out
 
 

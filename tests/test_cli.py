@@ -83,6 +83,19 @@ def test_pdp_with_forests_of_another_fit_exits_with_input_error(run_dir, small_d
     assert not (run_dir / "pdp").exists()
 
 
+def test_pdp_with_forests_of_another_seed_exits_with_input_error(run_dir, small_data):
+    # the same config with another seed: as many draws, other forests
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        other = fit(small_data, small_config(seed=43, keep_forests=True))
+    other.save_forests(run_dir / FORESTS_FILE)
+    trial = write_trial(run_dir, small_data)
+    result = invoke("pdp", run_dir, *trial, "--covariate", "x0", "--out", run_dir / "pdp")
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert "forests of another fit than these draws" in result.output
+    assert not (run_dir / "pdp").exists()
+
+
 def test_summarize_with_truncated_draws_file_exits_with_input_error(run_dir):
     draws = run_dir / DRAWS_FILE
     data = draws.read_bytes()

@@ -420,6 +420,27 @@ class TestPersistence:
                                             "but there are 80 draws"):
             draws.load_forests(short)
 
+    def test_forests_of_another_fit_with_as_many_draws_are_a_data_error(self, small_data,
+                                                                         tmp_path):
+        draws = fit(small_data, small_config(keep_forests=True))
+        other = tmp_path / "forests.npz"
+        fit(small_data, small_config(seed=43, keep_forests=True)).save_forests(other)
+        with pytest.raises(DataError, match="forests.npz holds the forests of another fit"):
+            draws.load_forests(other)
+        assert draws.forests is not None  # the draws keep their own forests
+
+    def test_forests_file_of_schema_2_is_a_data_error(self, small_data, tmp_path):
+        draws = fit(small_data, small_config(keep_forests=True))
+        f = tmp_path / "forests.npz"
+        draws.save_forests(f)
+        with np.load(f) as z:
+            fields = {k: z[k] for k in z.files if k != "draws_digest"}
+        fields["schema_version"] = np.int32(2)
+        with open(f, "wb") as fh:
+            np.savez(fh, **fields)
+        with pytest.raises(DataError, match="not a forests file of schema 3: it has schema 2"):
+            draws.load_forests(f)
+
     def test_truncated_draw_file_is_a_data_error_naming_it(self, small_data, tmp_path):
         draws = fit(small_data, small_config())
         good = tmp_path / "draws.npz"

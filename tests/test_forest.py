@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from npaft.data import split_point_grid
 from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP, PackedForest,
                           _log_lik_ratio, _propose_change, _propose_grow,
                           _propose_prune, _propose_swap, apply_move, leaf_sums,
-                          pack_forest, route)
+                          pack_forest, route, tree_fit)
 
 
 def make_ws(U, max_points=100):
@@ -587,12 +588,17 @@ class TestPackedForest:
             forest = Forest(ws, ForestPrior(n_trees=n_trees, zeta=1.0))
             backfit_sweep(forest, rng.standard_normal(12), 1.0, rng)
             packed.append(pack_forest(forest))
+        names = ("var", "cut", "left", "right", "value", "nodes_per_tree")
+        expected = {name: np.concatenate([getattr(pf, name) for pf in packed])
+                    for name in names}
+        probes = rng.standard_normal((5, 2))
+        own = np.vstack([pf.predict_matrix(probes) for pf in packed])
         stacked = PackedForest.stack(packed)
         assert stacked.trees_per_draw.tolist() == [3, 1] and stacked.n_trees == 4
-        for name in ("var", "cut", "left", "right", "value", "nodes_per_tree"):
-            assert np.array_equal(getattr(stacked, name),
-                                  np.concatenate([getattr(pf, name) for pf in packed]),
-                                  equal_nan=True), name
+        for name in names:
+            assert np.array_equal(getattr(stacked, name), expected[name], equal_nan=True), name
+        # stacking spends its inputs: no field is held twice
+        assert all(getattr(pf, name) is None for pf in packed for name in names)
         draws = PosteriorDraws(*([np.zeros((2, 0))] * 12), transform=ResponseTransform(0.0, 1.0),
                                config={}, sigma_tau_sq=1.0, forests=stacked)
         f = tmp_path / "forests.npz"
@@ -604,9 +610,7 @@ class TestPackedForest:
         for name in ("var", "cut", "left", "right", "value", "nodes_per_tree", "trees_per_draw"):
             assert np.array_equal(getattr(back, name), getattr(stacked, name),
                                   equal_nan=True), name
-        probes = rng.standard_normal((5, 2))
-        assert np.array_equal(back.predict_matrix(probes),
-                              np.vstack([pf.predict_matrix(probes) for pf in packed]))
+        assert np.array_equal(back.predict_matrix(probes), own)
 
     def test_route_yields_every_leaf_once(self, rng):
         ws = mixed_workspace(rng)
@@ -697,6 +701,142 @@ class TestArmTrees:
         full, arm = pf.predict_matrix(U)[0], sub.predict_matrix(U)[0]
         np.testing.assert_allclose(arm[:40] - arm[40:], full[:40] - full[40:],
                                    rtol=0, atol=1e-12)
+
+
+CUTS = (-1.0, 0.0, 0.5, 1.0)  # random rows take these values too, so some rows equal a cut
+
+
+def random_tree(rng, n_cols, depth, chain=False):
+    """Node lists (var, cut, left, right, value) of a random tree, children
+    indexed within the tree, the root first and the other nodes shuffled,
+    as recycled slots leave them. ``depth`` 0 is a single leaf; a chain
+    splits only its right child, down to ``depth``."""
+    depths = [0]  # per node, in creation order
+    kids = {}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        d = depths[v]
+        if d < depth and (v == 0 or chain or rng.random() < 0.6):
+            kids[v] = [len(depths), len(depths) + 1]
+            depths += [d + 1, d + 1]
+            stack.extend(kids[v][1:] if chain else kids[v])
+    order = [0] + (1 + rng.permutation(len(depths) - 1)).tolist()
+    slot = {v: i for i, v in enumerate(order)}
+    var, cut, left, right, value = [], [], [], [], []
+    for v in order:
+        if v in kids:
+            var.append(int(rng.integers(n_cols)))
+            cut.append(float(rng.choice(CUTS)))
+            left.append(slot[kids[v][0]])
+            right.append(slot[kids[v][1]])
+            value.append(0.0)
+        else:
+            var.append(-1)
+            cut.append(math.nan)
+            left.append(-1)
+            right.append(-1)
+            value.append(float(rng.standard_normal()))
+    return var, cut, left, right, value
+
+
+def random_draw(rng, n_cols, n_trees):
+    """One draw of random trees, with a single leaf first and a chain deeper
+    than 6 second, children counted from the draw's first node."""
+    trees, first = [], 0
+    for j in range(n_trees):
+        depth = 0 if j == 0 else int(rng.integers(1, 5))
+        var, cut, left, right, value = random_tree(rng, n_cols, 8 if j == 1 else depth,
+                                                   chain=j == 1)
+        trees.append((var, cut, [c + first if c >= 0 else c for c in left],
+                      [c + first if c >= 0 else c for c in right], value))
+        first += len(var)
+    return packed(trees, n_cols)
+
+
+def random_rows(rng, n, n_cols):
+    return rng.choice(CUTS, size=(n, n_cols)) + rng.choice([0.0, 0.3], size=(n, n_cols))
+
+
+def walk_predict(pf, U):
+    """Oracle: each row walked down every tree one rule at a time, the leaf
+    values added in tree order."""
+    out = np.zeros((pf.n_draws, U.shape[0]))
+    node = tree = 0
+    for d, n_trees in enumerate(pf.trees_per_draw.tolist()):
+        first = node
+        for _ in range(n_trees):
+            for i, u in enumerate(U):
+                w = node
+                while pf.var[w] >= 0:
+                    w = first + (pf.left[w] if u[pf.var[w]] <= pf.cut[w] else pf.right[w])
+                out[d, i] += pf.value[w]
+            node += int(pf.nodes_per_tree[tree])
+            tree += 1
+    return out
+
+
+class TestTreeFit:
+    def test_every_node_matches_a_row_walk(self, rng):
+        for depth in (0, 1, 3, 8):
+            var, cut, left, right, value = random_tree(rng, 3, depth, chain=depth == 8)
+            U = random_rows(rng, 30, 3)
+            cols = list(U.T)
+            for node in range(len(var)):
+                want = []
+                for u in U:
+                    w = node
+                    while var[w] >= 0:
+                        w = left[w] if u[var[w]] <= cut[w] else right[w]
+                    want.append(value[w])
+                got = np.broadcast_to(tree_fit(var, cut, left, right, value, cols, node), 30)
+                assert got.tolist() == want
+
+    def test_row_equal_to_the_cut_goes_left(self):
+        cols = [np.array([0.5, 0.5000000000000001, 0.4999999999999999])]
+        fit = tree_fit([0, -1, -1], [0.5, NAN, NAN], [1, -1, -1], [2, -1, -1],
+                       [0.0, -1.0, 1.0], cols, 0)
+        assert fit.tolist() == [-1.0, 1.0, -1.0]
+
+    def test_counterfactual_total_matches_a_flipped_row_walk(self, rng):
+        ws = mixed_workspace(rng)
+        forest = TestMovePath.grown_forest(rng, ws, n_trees=12, sweeps=60)
+        assert any(t.uses_column(0) for t in forest.trees)
+        flipped = 1.0 - ws.U[:, 0]
+        U = ws.U.copy()
+        U[:, 0] = flipped
+        np.testing.assert_allclose(forest.counterfactual_total(flipped),
+                                   walk_predict(pack_forest(forest), U)[0], rtol=0, atol=1e-12)
+
+
+class TestPredictMatrix:
+    def test_matches_a_row_walk(self, rng):
+        draws = PackedForest.stack([random_draw(rng, 4, n_trees) for n_trees in (1, 5, 3, 12)])
+        for n in (1, 2, 50):
+            U = random_rows(rng, n, 4)
+            assert np.array_equal(draws.predict_matrix(U), walk_predict(draws, U))
+        assert np.array_equal(draws.predict_matrix(U[0]), walk_predict(draws, U[:1]))
+
+    def test_arm_trees_with_a_draw_left_empty(self, rng):
+        draws = PackedForest.stack([random_draw(rng, 3, 6), packed([COVARIATE_TREE]),
+                                    random_draw(rng, 3, 6)])
+        sub = draws.arm_trees(1)
+        assert sub.trees_per_draw[1] == 0 and sub.n_trees > 0
+        U = random_rows(rng, 25, 3)
+        got = sub.predict_matrix(U)
+        assert np.array_equal(got, walk_predict(sub, U))
+        assert not got[1].any()
+
+    def test_leaves_no_reference_cycle(self, rng):
+        draws = PackedForest.stack([random_draw(rng, 3, 8) for _ in range(4)])
+        U = random_rows(rng, 40, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            draws.predict_matrix(U)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPriorValidation:
