@@ -16,12 +16,12 @@ import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .data import EncodedDataset
 from .engine import FitConfig, fit, map_tasks, predict_m
 from .errors import ConfigError, DataError, NumericError
 from .hte import allocate, differential_effect, ite_draws
+from .mixture import brentq
 
 EULER_GAMMA = 0.5772156649015329
 CENSOR_TARGETS = {"light": 0.20, "heavy": 0.45}

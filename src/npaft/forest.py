@@ -684,15 +684,6 @@ class Forest:
         self.m_total = np.zeros(ws.n)
         self.move_stats: dict[str, list[int]] = {}
 
-    def refresh_cache(self) -> None:
-        for j, t in enumerate(self.trees):
-            self.fits[j] = t.fit_vector()
-        self.m_total = np.add.reduce(self.fits)
-
-    def cache_error(self) -> float:
-        fresh = np.add.reduce([t.fit_vector() for t in self.trees])
-        return float(np.abs(fresh - self.m_total).max())
-
     def counterfactual_total(self, flipped_arm: np.ndarray) -> np.ndarray:
         """Ensemble fit with the arm column (column 0) replaced, reusing cached
         fits of trees that never split on it."""
@@ -723,7 +714,12 @@ def backfit_sweep(forest: Forest, shifted_responses: np.ndarray, sigma: float,
         new_fit = tree.fit_vector()
         resid += forest.fits[j] - new_fit
         forest.fits[j] = new_fit
-    forest.m_total = np.add.reduce(forest.fits)
+    # summed in tree order in place: the bits of np.add.reduce over the
+    # fits, without stacking them into one (n_trees, n) array first
+    total = forest.fits[0].copy()
+    for fit_j in forest.fits[1:]:
+        total += fit_j
+    forest.m_total = total
     return forest
 
 

@@ -28,7 +28,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import chdtrc, chdtri, gammaincinv, ndtr, ndtri
 
 from .errors import ConfigError, NumericError
@@ -166,6 +165,73 @@ def init_state(n: int, hyper: CdpHyper, sigma_w_hat: float) -> CdpState:
     return CdpState(V=V, pi=pi, tau_star=tau_star, mu_gstar=0.0,
                     tau=np.zeros(hyper.H), M=M,
                     sigma_sq=sigma_w_hat ** 2 / 2.0, S=S, n_h=n_h)
+
+
+# -- root finding -----------------------------------------------------------
+
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4 * 2.0 ** -52, maxiter: int = 100) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``Zeros/brentq.c`` (BSD-3-Clause,
+    Charles Harris): for the same inputs and finite function values it makes
+    the same float operations in the same order, so it returns the same
+    float as ``scipy.optimize.brentq``. The loop keeps the root bracketed by
+    ``xcur`` and ``xblk`` with ``|f(xcur)| <= |f(xblk)|``, and tries inverse
+    quadratic extrapolation (or secant interpolation, once the bracket has
+    reversed) before falling back to bisection. Raises ``NumericError`` on a
+    bracket without a sign change, a non-finite function value, or when
+    ``maxiter`` iterations do not converge.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if not math.isfinite(fx):
+            raise NumericError(f"root finding: f({x!r}) = {fx}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"root finding: f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's quotient is then inf or nan: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericError(f"root finding failed to converge in {maxiter} iterations")
 
 
 # -- prior calibration ------------------------------------------------------

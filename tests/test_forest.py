@@ -33,6 +33,19 @@ def prior():
     return ForestPrior(alpha=0.95, beta=2.0, n_trees=200, k=2.0, zeta=4.0)
 
 
+def refresh_cache(forest):
+    """Test helper: recompute every tree's cached fit and the ensemble total."""
+    for j, t in enumerate(forest.trees):
+        forest.fits[j] = t.fit_vector()
+    forest.m_total = np.add.reduce(forest.fits)
+
+
+def cache_error(forest):
+    """Test helper: largest gap between the cached total and a fresh one."""
+    fresh = np.add.reduce([t.fit_vector() for t in forest.trees])
+    return float(np.abs(fresh - forest.m_total).max())
+
+
 def one_tree(ws):
     """A one-tree forest and its tree, for packing a hand-built tree."""
     forest = Forest(ws, ForestPrior(n_trees=1, zeta=1.0))
@@ -501,7 +514,7 @@ class TestBackfit:
         y = rng.standard_normal(10)
         backfit_sweep(forest, y, 1.0, rng)
         assert forest.m_total == pytest.approx(forest.fits[0], abs=0)
-        assert forest.cache_error() == 0.0
+        assert cache_error(forest) == 0.0
 
     def test_zero_response_supnorm_shrinks(self, rng):
         U = rng.standard_normal((25, 2))
@@ -511,7 +524,7 @@ class TestBackfit:
         # displace the fit by hand, then let zero-response sweeps shrink it
         for t in forest.trees:
             t.values[0] = 1.0
-        forest.refresh_cache()
+        refresh_cache(forest)
         start = np.abs(forest.m_total).max()
         assert start == pytest.approx(10.0)
         sups = []
@@ -530,7 +543,7 @@ class TestBackfit:
         y = U[:, 0] + rng.normal(0, 0.3, 40)
         for _ in range(50):
             backfit_sweep(forest, y, 0.5, rng)
-            assert forest.cache_error() < 1e-10
+            assert cache_error(forest) < 1e-10
         for t in forest.trees:
             counts = np.bincount(t.leaf_of_row, minlength=len(t.var))
             assert all(counts[leaf] >= 1 for leaf in t.leaf_ids)

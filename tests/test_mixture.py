@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 from scipy.stats import chi2, kstest, norm
 
 from npaft import CdpHyper, ConfigError, NumericError, calibrate_scale, \
@@ -193,6 +194,74 @@ class TestCalibrate:
     def test_input_validation(self, hyper):
         with pytest.raises(ConfigError):
             calibrate_scale(0.0, hyper)
+
+
+# function families with a single sign change at r, each exactly 0 at x = r
+BRENTQ_FAMILIES = {
+    "cubic": lambda r, k: lambda x: (x - r) ** 3 + k * (x - r),
+    "tanh+linear": lambda r, k: lambda x: math.tanh(k * (x - r)) + 0.01 * (x - r),
+    "exp": lambda r, k: lambda x: k * math.expm1(x - r),
+    "atan": lambda r, k: lambda x: 1e3 * k * math.atan(x - r),
+    "power0.3": lambda r, k: lambda x: math.copysign(abs(x - r) ** 0.3, x - r),
+}
+
+# the settings the calibration's quadrature rule was chosen on (see
+# CAL_PANEL_NODES)
+CAL_PANEL_SETTINGS = [
+    CdpHyper(), CdpHyper(q=0.01), CdpHyper(q=0.9), CdpHyper(q=0.99), CdpHyper(q=0.999),
+    CdpHyper(nu=0.5), CdpHyper(nu=100.0), CdpHyper(psi2=0.001),
+    CdpHyper(nu=10.0, psi1=1.0, psi2=1.0)]
+
+
+class TestBrentq:
+    def test_same_float_as_scipy(self):
+        rng = np.random.default_rng(21)
+        cases = []
+        for make in BRENTQ_FAMILIES.values():
+            for xtol in (2e-12, 1e-10, 1e-4):
+                for _ in range(700):
+                    r = float(rng.uniform(-50.0, 50.0))
+                    lo, hi = r - 10.0 ** rng.uniform(-3, 2), r + 10.0 ** rng.uniform(-3, 2)
+                    if rng.random() < 0.5:
+                        lo, hi = hi, lo
+                    cases.append((make(r, float(10.0 ** rng.uniform(-2, 2))), lo, hi, xtol))
+                # a root exactly at either end
+                cases += [(make(r, 1.0), r, r + 1.5, xtol) for r in (0.0, 2.5, -7.25)]
+                cases += [(make(r, 1.0), r - 0.5, r, xtol) for r in (0.0, 2.5, -7.25)]
+        assert len(cases) >= 10_000
+        mismatched = [(lo, hi, xtol) for f, lo, hi, xtol in cases
+                      if mixture.brentq(f, lo, hi, xtol=xtol).hex()
+                      != scipy_brentq(f, lo, hi, xtol=xtol).hex()]
+        assert not mismatched, (len(mismatched), mismatched[:5])
+
+    @pytest.mark.parametrize("hyper", CAL_PANEL_SETTINGS)
+    def test_calibration_equal_under_scipy(self, hyper, monkeypatch):
+        ported = calibrate_scale(1.3, hyper)
+        monkeypatch.setattr(mixture, "brentq", scipy_brentq)
+        assert ported == calibrate_scale(1.3, hyper)
+
+    # scipy raises ValueError where the port raises, except on an infinite
+    # value, which scipy's wrapper lets through
+    @pytest.mark.parametrize("f, match, scipy_raises", [
+        (lambda x: x * x + 1.0, "same sign", True),
+        (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, "= nan", True),
+        (lambda x: math.nan if x == 1.0 else x - 0.5, "= nan", True),
+        (lambda x: math.inf if x == 1.0 else x - 0.5, "= inf", False),
+    ], ids=["no-sign-change", "nan-inside", "nan-at-end", "inf-at-end"])
+    def test_errors(self, f, match, scipy_raises):
+        with pytest.raises(NumericError, match=match):
+            mixture.brentq(f, 0.0, 1.0)
+        if scipy_raises:
+            with pytest.raises(ValueError):
+                scipy_brentq(f, 0.0, 1.0)
+
+    def test_iteration_budget(self):
+        f = BRENTQ_FAMILIES["power0.3"](1.0 / 3.0, 1.0)
+        with pytest.raises(NumericError, match="2 iterations"):
+            mixture.brentq(f, 0.0, 1.0, maxiter=2)
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, 0.0, 1.0, maxiter=2)
+        assert mixture.brentq(f, 0.0, 1.0).hex() == scipy_brentq(f, 0.0, 1.0).hex()
 
 
 class TestStickWeights:
