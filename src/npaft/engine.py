@@ -160,13 +160,16 @@ class PosteriorDraws:
     @classmethod
     def load(cls, path: str | Path) -> "PosteriorDraws":
         """Read a file written by ``save``; a missing or unreadable file, a
-        truncated one included, is a ``DataError`` naming it."""
+        truncated one included, is a ``DataError`` naming it, and so is one
+        with a column of the wrong shape (``_check_column_shapes``)."""
         try:
             with np.load(path) as z:
                 header = json.loads(bytes(z["header"]).decode())
                 version = header.get("schema_version")
                 if version == DRAWS_SCHEMA_VERSION:
-                    return cls(**{c.name: z[c.name] for c in _COLUMNS},
+                    columns = {c.name: z[c.name] for c in _COLUMNS}
+                    _check_column_shapes(columns)
+                    return cls(**columns,
                                transform=ResponseTransform(header["mu_aft"],
                                                            header["sigma_aft"]),
                                config=header["config"], sigma_tau_sq=header["sigma_tau_sq"])
@@ -189,9 +192,10 @@ class PosteriorDraws:
                      draws_digest=np.array(self._digest()))
 
     def load_forests(self, path: str | Path) -> None:
-        """Read a file written by ``save_forests``; a file of another draw
-        count than these draws', or saved with other draws, is a
-        ``DataError``."""
+        """Read a file written by ``save_forests``; a file that is not
+        forests ``predict_matrix`` can walk (``_forest_problem``), or of
+        another draw count than these draws', or saved with other draws, is
+        a ``DataError`` naming it."""
         bad = f"{path} is not a forests file of schema {FORESTS_SCHEMA_VERSION}"
         try:
             with np.load(path, allow_pickle=False) as z:
@@ -203,10 +207,9 @@ class PosteriorDraws:
         except (OSError, ValueError, TypeError, KeyError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise DataError(f"{bad}: {exc}") from None
-        if pf.trees_per_draw.sum() != pf.n_trees or any(
-                a.shape != (pf.nodes_per_tree.sum(),)
-                for a in (pf.var, pf.cut, pf.left, pf.right, pf.value)):
-            raise DataError(f"{bad}: its node, tree and draw counts disagree")
+        problem = _forest_problem(pf)
+        if problem:
+            raise DataError(f"{bad}: {problem}")
         if pf.n_draws != self.n_draws:
             raise DataError(f"{path} holds the forests of {pf.n_draws} draws, "
                             f"but there are {self.n_draws} draws")
@@ -216,6 +219,59 @@ class PosteriorDraws:
 
 
 _COLUMNS = tuple(f for f in fields(PosteriorDraws) if "about" in f.metadata)
+
+
+def _check_column_shapes(columns: dict[str, np.ndarray]) -> None:
+    """Raise a ``DataError`` naming the first draws-file column whose shape
+    is not (draws, *its per-draw shape), with the draw count and ``n`` taken
+    from ``m0`` and ``H`` from ``pi``."""
+    m0, pi = columns["m0"], columns["pi"]
+    if m0.ndim != 2 or pi.ndim != 2:
+        raise DataError(f"columns m0 and pi must be 2-D, got shapes {m0.shape} and {pi.shape}")
+    sizes = {"n": m0.shape[1], "H": pi.shape[1]}
+    for c in _COLUMNS:
+        want = (m0.shape[0], *(sizes.get(s, s) for s in c.metadata["shape"]))
+        if columns[c.name].shape != want:
+            raise DataError(f"column {c.name} has shape {columns[c.name].shape}, "
+                            f"expected {want}")
+
+
+def _forest_problem(pf: PackedForest) -> str | None:
+    """What keeps ``pf`` from being forests that ``predict_matrix`` can
+    walk, or None: a node array of the wrong dtype, counts that disagree
+    with the node arrays or each other, a split column outside [-1, n_cols),
+    a leaf with a child, a child outside its own tree's node block, or a node
+    that is not the child of exactly one node (a root of none), which could
+    make a walk loop."""
+    ints = (pf.var, pf.left, pf.right, pf.nodes_per_tree, pf.trees_per_draw)
+    if (any(a.dtype.kind not in "iu" for a in ints)
+            or any(a.dtype.kind != "f" for a in (pf.cut, pf.value))):
+        return "a node array has the wrong dtype"
+    if (pf.nodes_per_tree.ndim != 1 or pf.trees_per_draw.ndim != 1
+            or (pf.nodes_per_tree < 1).any() or (pf.trees_per_draw < 0).any()
+            or pf.trees_per_draw.sum() != pf.n_trees
+            or any(a.shape != (pf.nodes_per_tree.sum(),)
+                   for a in (pf.var, pf.cut, pf.left, pf.right, pf.value))):
+        return "its node, tree and draw counts disagree"
+    if ((pf.var < -1) | (pf.var >= pf.n_cols)).any():
+        return f"a split column lies outside [-1, {pf.n_cols})"
+    leaf = pf.var == -1
+    if (pf.left[leaf] != -1).any() or (pf.right[leaf] != -1).any():
+        return "a leaf has a child"
+    # child indices count from the first node of their draw
+    node_at = np.concatenate([[0], np.cumsum(pf.nodes_per_tree, dtype=np.int64)])
+    first_tree = np.cumsum(pf.trees_per_draw) - pf.trees_per_draw
+    tree_of = np.repeat(np.arange(pf.n_trees), pf.nodes_per_tree)[~leaf]
+    base = np.tile(np.repeat(node_at[first_tree], pf.trees_per_draw)[tree_of], 2)
+    block = np.tile(tree_of, 2)
+    children = np.concatenate([pf.left[~leaf], pf.right[~leaf]]) + base
+    if ((children < node_at[block]) | (children >= node_at[block + 1])).any():
+        return "a child lies outside its tree's node block"
+    parents = np.bincount(children, minlength=node_at[-1])
+    parents[node_at[:-1]] += 1  # so a tree's root, which has no parent, counts 1
+    if (parents != 1).any():
+        return "a node is not the child of exactly one node"
+    return None
 
 
 def _draw_store(total: int, n: int, H: int) -> dict[str, np.ndarray]:

@@ -7,9 +7,9 @@ drawn from per-column quantile grids; rule legality is tracked in grid-index
 space, so a proposal can never create a logically empty leaf, and proposals
 that would strand a leaf with zero training rows are rejected outright.
 Live trees and packed snapshots carry the same node fields (``var``, ``cut``,
-``left``, ``right``), and two functions read a decision rule: ``route``
-gives each leaf's rows, for the moves, and ``tree_fit`` gives the fit at
-every row, for predictions and counterfactuals.
+``left``, ``right``), and one function reads a decision rule: ``tree_fit``
+gives the fit at every row, for predictions and counterfactuals, and with
+node ids for values, the leaf each row reaches, for the moves.
 
 The structure prior splits a depth-``d`` node with probability
 ``alpha * (1 + d)**-beta``; a node with no legal cut is a forced leaf. Leaf
@@ -19,7 +19,7 @@ form for the acceptance ratio.
 A proposal never copies the tree and leaves it as it was. Grow and prune are
 scored from the (sum, count) sufficient statistics of one leaf and its two
 children; change and swap re-route only the rows of the affected subtree
-into a scratch buffer and score its leaves' statistics. The tree changes
+and score its leaves' statistics. The tree changes
 only when the move is accepted (``apply_move``). One ``bincount`` pass per
 tree gives the leaf sums of the partial residuals; the sweep keeps them
 current through an accepted move and reuses them for the leaf-value draw.
@@ -106,8 +106,7 @@ def _collapsed_term(total: float, count: int, s2: float, sm2: float) -> float:
 
 
 class TreeWorkspace:
-    """Shared per-chain view of the predictor matrix and split grids, plus a
-    row-length scratch buffer that proposals re-route rows into."""
+    """Shared per-chain view of the predictor matrix and split grids."""
 
     def __init__(self, U: np.ndarray, grids: list[np.ndarray]):
         U = np.asarray(U, dtype=float)
@@ -124,23 +123,6 @@ class TreeWorkspace:
         # (col, lo, hi) of every splittable column at an unconstrained node
         self.full_legal = [(k, 0, self.grid_sizes[k]) for k in self.splittable_cols]
         self.legal_pos = {k: i for i, k in enumerate(self.splittable_cols)}
-        self.scratch = np.empty(self.n, dtype=np.intp)
-
-
-def route(var, cut, left, right, cols, rows: np.ndarray, node: int):
-    """Walk a tree's node arrays from ``node``; yield ``(leaf, rows)`` for
-    every leaf below it, with the subset of ``rows`` that reaches it (possibly
-    empty). A row goes left when ``cols[var[w]][row] <= cut[w]``."""
-    stack = [(node, rows)]
-    while stack:
-        w, rr = stack.pop()
-        k = var[w]
-        if k < 0:
-            yield w, rr
-            continue
-        m = cols[k][rr] <= cut[w]
-        stack.append((left[w], rr.compress(m)))
-        stack.append((right[w], rr.compress(~m)))
 
 
 def tree_fit(var, cut, left, right, value, cols, node: int):
@@ -214,10 +196,10 @@ class Tree:
         self.cut_idx[v] = cut_idx
         self.cut[v] = self.ws.grids[var][cut_idx] if var >= 0 else math.nan
 
-    def grow_leaf(self, leaf: int, var: int, cut_idx: int, left_rows: np.ndarray,
-                  right_rows: np.ndarray) -> tuple[int, int]:
-        """Split ``leaf`` on (var, cut); ``left_rows``/``right_rows`` are its
-        rows that go to each child."""
+    def grow_leaf(self, leaf: int, var: int, cut_idx: int, rows: np.ndarray,
+                  goes_left: np.ndarray) -> tuple[int, int]:
+        """Split ``leaf`` on (var, cut); ``rows`` are its rows and
+        ``goes_left`` is true where a row goes to the left child."""
         lid, rid = self._alloc(), self._alloc()
         d = self.depth[leaf] + 1
         for nid in (lid, rid):
@@ -231,10 +213,10 @@ class Tree:
         self.leaf_ids.remove(leaf)
         self.leaf_ids.extend((lid, rid))
         self.internal_ids.append(leaf)
-        self.count[lid] = left_rows.shape[0]
-        self.count[rid] = right_rows.shape[0]
-        self.leaf_of_row[left_rows] = lid
-        self.leaf_of_row[right_rows] = rid
+        n_left = int(np.count_nonzero(goes_left))
+        self.count[lid] = n_left
+        self.count[rid] = rows.shape[0] - n_left
+        self.leaf_of_row[rows] = np.where(goes_left, lid, rid)
         return lid, rid
 
     def prune_node(self, v: int, rows_mask: np.ndarray) -> None:
@@ -318,22 +300,22 @@ class Tree:
         """Route the rows now under ``v`` through its current rules.
 
         Returns the rows (ascending), the leaf each reaches, and the row
-        count per leaf under ``v``; None when some leaf would get no row.
-        ``leaf_of_row`` is left as it was.
+        count per leaf under ``v``, in ``leaves_under`` order; None when some
+        leaf would get no row. ``leaf_of_row`` is left as it was.
         """
+        leaves = self.leaves_under(v)
         lut = np.zeros(len(self.var), dtype=bool)
-        for leaf in self.leaves_under(v):
-            lut[leaf] = True
+        lut[leaves] = True
         rows = np.nonzero(lut[self.leaf_of_row])[0]
-        out = self.ws.scratch
-        counts: dict[int, int] = {}
-        for leaf, rr in route(self.var, self.cut, self.left, self.right,
-                              self.ws.cols, rows, v):
-            if rr.shape[0] == 0:
-                return None
-            out[rr] = leaf
-            counts[leaf] = rr.shape[0]
-        return rows, out[rows], counts
+        # each row's "fit" is the id of the leaf it reaches
+        cols = {k: self.ws.cols[k][rows] for k in set(self.var) if k >= 0}
+        leaf_of = tree_fit(self.var, self.cut, self.left, self.right, range(len(self.var)),
+                           cols, v)
+        n = np.bincount(leaf_of, minlength=len(self.var)).tolist()
+        counts = {leaf: n[leaf] for leaf in leaves}
+        if 0 in counts.values():
+            return None
+        return rows, leaf_of, counts
 
     def fit_vector(self) -> np.ndarray:
         return self.values[self.leaf_of_row]
@@ -384,7 +366,8 @@ class Proposal:
     log_q_ratio: float = 0.0
     node: int = -1                    # grown leaf, pruned node, or top of the changed subtree
     rules: tuple = ()                 # (node, var, cut_idx) rules the move sets
-    rows: tuple | np.ndarray | None = None  # grow: (left, right) rows; change/swap: subtree rows
+    rows: np.ndarray | None = None    # grow: the leaf's rows; change/swap: subtree rows
+    goes_left: np.ndarray | None = None  # grow: true where a row goes to the left child
     leaves: np.ndarray | None = None  # change/swap: new leaf per row
     counts: dict | None = None        # change/swap: rows per leaf under ``node`` after the move
 
@@ -410,9 +393,6 @@ def _split_log_prior(tree: Tree, v: int, n_legal: int, width: int, lo: int,
     return lpr
 
 
-_STUMP_LEFT, _STUMP_RIGHT = (1, -1, -1), (2, -1, -1)  # children of a one-rule tree
-
-
 def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
     leaves = tree.leaf_ids
     leaf = leaves[rng.integers(len(leaves))]
@@ -422,11 +402,8 @@ def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> P
     k, lo, hi = legal[rng.integers(len(legal))]
     ci = int(rng.integers(lo, hi))
     rows = np.nonzero(tree.leaf_of_row == leaf)[0]
-    # route the leaf's rows through a one-rule tree: node 0 splits into 1 and 2
-    parts = dict(route((k, -1, -1), (tree.ws.grids[k][ci], math.nan, math.nan),
-                       _STUMP_LEFT, _STUMP_RIGHT, tree.ws.cols, rows, 0))
-    left_rows, right_rows = parts[1], parts[2]
-    if left_rows.shape[0] == 0 or right_rows.shape[0] == 0:
+    goes_left = tree.ws.cols[k][rows] <= tree.ws.grids[k][ci]
+    if not 0 < np.count_nonzero(goes_left) < rows.shape[0]:
         return Proposal(MOVE_GROW)  # would strand an empty leaf
 
     width = hi - lo
@@ -441,7 +418,7 @@ def _propose_grow(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> P
            - math.log(MOVE_PROBS[MOVE_GROW])
            + math.log(len(leaves)) + math.log(len(legal)) + math.log(width))
     return Proposal(MOVE_GROW, True, lpr, lqr, node=leaf, rules=((leaf, k, ci),),
-                    rows=(left_rows, right_rows))
+                    rows=rows, goes_left=goes_left)
 
 
 def _propose_prune(tree: Tree, rng: np.random.Generator, prior: ForestPrior) -> Proposal | None:
@@ -545,7 +522,7 @@ def apply_move(tree: Tree, prop: Proposal) -> None:
     v = prop.node
     if prop.kind == MOVE_GROW:
         _, k, ci = prop.rules[0]
-        tree.grow_leaf(v, k, ci, *prop.rows)
+        tree.grow_leaf(v, k, ci, prop.rows, prop.goes_left)
     elif prop.kind == MOVE_PRUNE:
         lor = tree.leaf_of_row
         tree.prune_node(v, (lor == tree.left[v]) | (lor == tree.right[v]))
@@ -566,11 +543,6 @@ def leaf_sums(tree: Tree, partial_residuals: np.ndarray) -> list[float]:
                        minlength=len(tree.var) + 2).tolist()
 
 
-def _row_sum(x: np.ndarray) -> float:
-    """Sum of ``x`` in order, the way ``leaf_sums`` adds up one leaf's rows."""
-    return np.bincount(np.zeros(x.shape[0], dtype=np.intp), weights=x).item()
-
-
 def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
                    sigma: float, prior: ForestPrior, sums: list[float]):
     """Log marginal-likelihood ratio of a viable proposal from per-leaf
@@ -585,10 +557,11 @@ def _log_lik_ratio(tree: Tree, prop: Proposal, partial_residuals: np.ndarray,
     v = prop.node
     count = tree.count
     if prop.kind == MOVE_GROW:
-        left, right = prop.rows
-        s_left = _row_sum(partial_residuals[left])
-        s_right = _row_sum(partial_residuals[right])
-        n_left, n_right = left.shape[0], right.shape[0]
+        # each side summed in row order, as ``leaf_sums`` adds up a leaf
+        s_right, s_left = np.bincount(prop.goes_left, weights=partial_residuals[prop.rows],
+                                      minlength=2).tolist()
+        n_left = int(np.count_nonzero(prop.goes_left))
+        n_right = prop.rows.shape[0] - n_left
         llr = (_collapsed_term(s_left, n_left, s2, sm2)
                + _collapsed_term(s_right, n_right, s2, sm2)
                - _collapsed_term(sums[v], count[v], s2, sm2))

@@ -106,6 +106,31 @@ def test_summarize_with_truncated_draws_file_exits_with_input_error(run_dir):
     assert DRAWS_FILE in result.output
 
 
+def rewrite_npz(path, name, edit):
+    """Rewrite the array ``name`` of the npz file at ``path`` as ``edit`` of it."""
+    with np.load(path) as z:
+        fields = {k: z[k] for k in z.files}
+    fields[name] = edit(fields[name])
+    with open(path, "wb") as fh:
+        np.savez(fh, **fields)
+
+
+def test_pdp_with_split_column_past_the_fit_exits_with_input_error(run_dir, small_data):
+    rewrite_npz(run_dir / FORESTS_FILE, "var", lambda var: np.where(var >= 0, 9, var))
+    trial = write_trial(run_dir, small_data)
+    result = invoke("pdp", run_dir, *trial, "--covariate", "x0", "--out", run_dir / "pdp")
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert f"{FORESTS_FILE} is not a forests file" in result.output
+    assert "split column lies outside" in result.output
+
+
+def test_summarize_with_a_short_draws_column_exits_with_input_error(run_dir):
+    rewrite_npz(run_dir / DRAWS_FILE, "sigma", lambda sigma: sigma[:-1])
+    result = invoke("summarize", run_dir, "--out", run_dir / "summary")
+    assert result.exit_code == EXIT_INPUT == 2, result.output
+    assert f"{DRAWS_FILE}: column sigma has shape" in result.output
+
+
 def test_fit_reruns_are_byte_identical(trial, tmp_path):
     config = write_yaml(tmp_path / "fit.yaml", TINY_FIT)
     outs = [tmp_path / "run1", tmp_path / "run2"]

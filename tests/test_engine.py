@@ -441,6 +441,70 @@ class TestPersistence:
         with pytest.raises(DataError, match="not a forests file of schema 3: it has schema 2"):
             draws.load_forests(f)
 
+    @pytest.mark.parametrize("case, message", [
+        ("var-past-n_cols", r"a split column lies outside \[-1, 4\)"),
+        ("var-below-leaf", "a split column lies outside"),
+        ("leaf-child", "a leaf has a child"),
+        ("child-past-block", "a child lies outside its tree's node block"),
+        ("child-before-block", "a child lies outside its tree's node block"),
+        ("child-is-root", "a node is not the child of exactly one node"),
+        ("float-left", "a node array has the wrong dtype"),
+    ])
+    def test_forests_that_cannot_be_walked_are_a_data_error(self, small_data, tmp_path,
+                                                            case, message):
+        """A forests file with this fit's digest whose trees ``predict_m``
+        would index out of range, or walk in a loop, is refused by name. The
+        edited node ``i`` is the first split node, in draw 0, whose tree's
+        node block is [lo, hi); ``leaf`` is the first leaf after it."""
+        draws = fit(small_data, small_config(keep_forests=True))
+        assert draws.forests.n_cols == 4  # the arm and three covariates
+        f = tmp_path / "forests.npz"
+        draws.save_forests(f)
+        with np.load(f) as z:
+            fields = {k: z[k] for k in z.files}
+        var = fields["var"]
+        i = int(np.flatnonzero(var >= 0)[0])
+        node_at = np.concatenate([[0], np.cumsum(fields["nodes_per_tree"])])
+        tree = int(np.searchsorted(node_at, i, side="right")) - 1
+        assert tree < fields["trees_per_draw"][0]  # in draw 0, whose first node is 0
+        lo, hi = int(node_at[tree]), int(node_at[tree + 1])
+        leaf = i + int(np.flatnonzero(var[i:] < 0)[0])
+        edits = {"var-past-n_cols": ("var", i, 4), "var-below-leaf": ("var", leaf, -2),
+                 "leaf-child": ("left", leaf, lo), "child-past-block": ("right", i, hi),
+                 "child-before-block": ("left", i, lo - 1), "child-is-root": ("left", i, lo)}
+        if case == "float-left":
+            fields["left"] = fields["left"].astype(float)
+        else:
+            name, at, value = edits[case]
+            fields[name][at] = value
+        with open(f, "wb") as fh:
+            np.savez(fh, **fields)
+        with pytest.raises(DataError, match=f"forests.npz is not a forests file of schema 3: "
+                                            f"{message}"):
+            draws.load_forests(f)
+
+    @pytest.mark.parametrize("column, cut, message", [
+        ("sigma", np.s_[:-1], r"column sigma has shape \(79,\), expected \(80,\)"),
+        ("tau", np.s_[:-1], r"column tau has shape \(79, 20\), expected \(80, 20\)"),
+        ("m1", np.s_[:-1], "column m1 has shape"),
+        ("m1", np.s_[:, :-1], "column m1 has shape"),
+        ("tau", np.s_[:, :-1], "column tau has shape"),
+        ("acc_proposed", np.s_[:, :-1], r"column acc_proposed has shape \(80, 3\), expected"),
+        ("m0", np.s_[:, 0], "columns m0 and pi must be 2-D"),
+    ])
+    def test_draw_column_of_another_shape_is_a_data_error(self, small_data, tmp_path,
+                                                          column, cut, message):
+        draws = fit(small_data, small_config())
+        f = tmp_path / "draws.npz"
+        draws.save(f)
+        with np.load(f) as z:
+            fields = {k: z[k] for k in z.files}
+        fields[column] = fields[column][cut]
+        with open(f, "wb") as fh:
+            np.savez(fh, **fields)
+        with pytest.raises(DataError, match=f"cannot read draw file .*draws.npz: {message}"):
+            PosteriorDraws.load(f)
+
     def test_truncated_draw_file_is_a_data_error_naming_it(self, small_data, tmp_path):
         draws = fit(small_data, small_config())
         good = tmp_path / "draws.npz"

@@ -12,7 +12,7 @@ from npaft.data import split_point_grid
 from npaft.forest import (MOVE_CHANGE, MOVE_GROW, MOVE_PRUNE, MOVE_SWAP, PackedForest,
                           _log_lik_ratio, _propose_change, _propose_grow,
                           _propose_prune, _propose_swap, apply_move, leaf_sums,
-                          pack_forest, route, tree_fit)
+                          pack_forest, tree_fit)
 
 
 def make_ws(U, max_points=100):
@@ -25,7 +25,7 @@ def split(tree, leaf, var, cut_idx):
     """Test helper: grow a specific (leaf, var, cut) with rows routed."""
     rows = np.nonzero(tree.leaf_of_row == leaf)[0]
     go_left = tree.ws.cols[var][rows] <= tree.ws.grids[var][cut_idx]
-    return tree.grow_leaf(leaf, var, cut_idx, rows[go_left], rows[~go_left])
+    return tree.grow_leaf(leaf, var, cut_idx, rows, go_left)
 
 
 @pytest.fixture
@@ -569,7 +569,6 @@ class TestPackedForest:
     def test_matches_live_forest(self, rng):
         ws = mixed_workspace(rng)
         forest = TestMovePath.grown_forest(rng, ws, n_trees=8, sweeps=60)
-        all_rows = np.arange(ws.n)
         for t in forest.trees:
             # the cut list tracks cut_idx through every applied and rejected move
             for v in set(range(len(t.var))) - set(t.free):
@@ -577,10 +576,9 @@ class TestPackedForest:
                     assert t.cut[v] == ws.grids[t.var[v]][t.cut_idx[v]]
                 else:
                     assert math.isnan(t.cut[v])
-            assign = np.full(ws.n, -1)
-            for leaf, rows in route(t.var, t.cut, t.left, t.right, ws.cols, all_rows, 0):
-                assign[rows] = leaf
-            assert np.array_equal(assign, t.leaf_of_row)
+            # with node ids for values, the select walk gives each row's leaf
+            assert np.all(tree_fit(t.var, t.cut, t.left, t.right, range(len(t.var)),
+                                   ws.cols, 0) == t.leaf_of_row)
         # pruned trees leave freed slots, which packing must drop
         assert any(t.free for t in forest.trees)
         pf = pack_forest(forest)
@@ -625,22 +623,52 @@ class TestPackedForest:
                                   equal_nan=True), name
         assert np.array_equal(back.predict_matrix(probes), own)
 
-    def test_route_yields_every_leaf_once(self, rng):
-        ws = mixed_workspace(rng)
-        forest = TestMovePath.grown_forest(rng, ws)
-        assert any(t.internal_ids for t in forest.trees)
+    def test_reroute_subtree_sends_each_row_to_its_walked_leaf(self, rng):
+        """From every internal node of grown trees, under the tree's own rule
+        there and under a redrawn one: each leaf under the node is counted
+        once, in ``leaves_under`` order; the rows are the rows under the
+        node, ascending; each row's leaf is the one a rule walk reaches; and
+        the counts are the walk's. None exactly when the walk leaves a leaf
+        with no row."""
+        seen = [0, 0]  # routed, None
         for n in (25, 600):
-            probes = rng.standard_normal((n, ws.p))
-            cols = list(probes.T)
+            ws = mixed_workspace(rng, n)
+            forest = TestMovePath.grown_forest(rng, ws)
+            assert any(t.internal_ids for t in forest.trees)
             for t in forest.trees:
-                for node in [0] + t.internal_ids:
-                    got = list(route(t.var, t.cut, t.left, t.right, cols, np.arange(n), node))
-                    assert sorted(leaf for leaf, _ in got) == sorted(t.leaves_under(node))
-                    rows = np.sort(np.concatenate([rr for _, rr in got]))
-                    assert np.array_equal(rows, np.arange(n))
-                    for leaf, rr in got:
-                        assert np.all(np.diff(rr) > 0)
-                        assert all(walk_from(t, node, probes[i]) == leaf for i in rr)
+                for v in t.internal_ids:
+                    under = t.leaves_under(v)
+                    rows_under = np.nonzero(np.isin(t.leaf_of_row, under))[0]
+                    old = (v, t.var[v], t.cut_idx[v])
+                    k = ws.splittable_cols[rng.integers(len(ws.splittable_cols))]
+                    for rule in (old, (v, k, int(rng.integers(ws.grid_sizes[k])))):
+                        t.set_rule(*rule)
+                        walked = np.array([walk_from(t, v, ws.U[i]) for i in rows_under])
+                        expected = {leaf: int(np.count_nonzero(walked == leaf)) for leaf in under}
+                        got = t.reroute_subtree(v)
+                        t.set_rule(*old)
+                        if 0 in expected.values():
+                            assert got is None
+                            seen[1] += 1
+                            continue
+                        rows, leaves, counts = got
+                        assert list(counts) == under
+                        assert np.array_equal(rows, rows_under)
+                        assert np.array_equal(leaves, walked)
+                        assert counts == expected
+                        seen[0] += 1
+        assert seen[0] > 0 and seen[1] > 0, seen
+
+    def test_reroute_subtree_is_none_when_a_leaf_gets_no_row(self):
+        t = Tree(make_ws(np.arange(4.0)[:, None]))  # cuts 0.5, 1.5, 2.5
+        split(t, 0, 0, 1)  # rows 0, 1 to node 1; rows 2, 3 to node 2
+        split(t, 1, 0, 0)  # row 0 to node 3, row 1 to node 4
+        rows, leaves, counts = t.reroute_subtree(0)
+        assert rows.tolist() == [0, 1, 2, 3] and leaves.tolist() == [3, 4, 2, 2]
+        assert counts == {2: 2, 4: 1, 3: 1}
+        t.set_rule(1, 0, 2)  # x <= 2.5 sends rows 0 and 1 both to node 3
+        assert t.reroute_subtree(0) is None
+        assert t.reroute_subtree(1) is None
 
 
 def packed(trees, n_cols=3):
