@@ -213,11 +213,11 @@ def _load_draws(draws_dir: str, need_forests: bool = False) -> PosteriorDraws:
     if not f.exists():
         raise DataError(f"no draw file at {f}")
     draws = PosteriorDraws.load(f)
-    forests = d / FORESTS_FILE
-    if forests.exists():
+    if need_forests:
+        forests = d / FORESTS_FILE
+        if not forests.exists():
+            raise DataError("forest checkpoints absent; rerun fit with --keep-forests")
         draws.load_forests(forests)
-    elif need_forests:
-        raise DataError("forest checkpoints absent; rerun fit with --keep-forests")
     return draws
 
 

@@ -127,14 +127,22 @@ class TreeWorkspace:
 
 def tree_fit(var, cut, left, right, value, cols, node: int):
     """The fit of the tree below ``node`` at every row of ``cols`` (one
-    array per predictor column): a leaf's value, or one ``np.where`` per
-    internal node between its children's fits, so each row gets its leaf's
-    stored value bit for bit. A row goes left when ``cols[var[w]] <= cut[w]``.
-    A leaf child's value is taken without a call."""
+    array per predictor column), so each row gets its leaf's stored value
+    bit for bit. A row goes left when ``cols[var[w]] <= cut[w]``.
+
+    A leaf gives its value. A node whose children are both leaves indexes
+    the two-entry table (right value, left value) with its boolean mask,
+    which ``take`` reads as 0 or 1 without a branch per row; ``np.where``
+    branches on every row and costs about three times as much on a random
+    mask of 20,000 rows. Any other node selects with one ``np.where``
+    between its children's fits, a leaf child's value taken without a call.
+    """
     k = var[node]
     if k < 0:
         return value[node]
     lw, rw = left[node], right[node]
+    if var[lw] < 0 and var[rw] < 0:
+        return np.array((value[rw], value[lw])).take(cols[k] <= cut[node])
     return np.where(cols[k] <= cut[node],
                     value[lw] if var[lw] < 0 else tree_fit(var, cut, left, right, value, cols, lw),
                     value[rw] if var[rw] < 0 else tree_fit(var, cut, left, right, value, cols, rw))
@@ -216,7 +224,7 @@ class Tree:
         n_left = int(np.count_nonzero(goes_left))
         self.count[lid] = n_left
         self.count[rid] = rows.shape[0] - n_left
-        self.leaf_of_row[rows] = np.where(goes_left, lid, rid)
+        self.leaf_of_row[rows] = np.array((rid, lid)).take(goes_left)
         return lid, rid
 
     def prune_node(self, v: int, rows_mask: np.ndarray) -> None:

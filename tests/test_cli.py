@@ -96,6 +96,32 @@ def test_pdp_with_forests_of_another_seed_exits_with_input_error(run_dir, small_
     assert not (run_dir / "pdp").exists()
 
 
+# the commands that read only the draws, and their arguments after the run directory
+DRAWS_ONLY = {"summarize": [], "survcurve": ["--arm", 1, "--patient", 3, "--times", "0.5:20:10"]}
+
+
+@pytest.mark.parametrize("command", list(DRAWS_ONLY))
+def test_commands_that_read_only_the_draws_ignore_the_forests_file(run_dir, small_data,
+                                                                    command):
+    """With another seed's forests beside the draws, and with none, the
+    command exits 0 and writes the files it writes beside the fit's own."""
+    args = DRAWS_ONLY[command]
+    own = invoke(command, run_dir, *args, "--out", run_dir / "own")
+    assert own.exit_code == 0, own.output
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        other = fit(small_data, small_config(seed=43, keep_forests=True))
+    other.save_forests(run_dir / FORESTS_FILE)
+    reseeded = invoke(command, run_dir, *args, "--out", run_dir / "reseeded")
+    assert reseeded.exit_code == 0, reseeded.output
+    (run_dir / FORESTS_FILE).unlink()
+    absent = invoke(command, run_dir, *args, "--out", run_dir / "absent")
+    assert absent.exit_code == 0, absent.output
+    for out in ("reseeded", "absent"):
+        for f in (run_dir / "own").glob("*.csv"):
+            assert (run_dir / out / f.name).read_bytes() == f.read_bytes(), (out, f.name)
+
+
 def test_summarize_with_truncated_draws_file_exits_with_input_error(run_dir):
     draws = run_dir / DRAWS_FILE
     data = draws.read_bytes()

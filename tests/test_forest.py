@@ -659,6 +659,42 @@ class TestPackedForest:
                         seen[0] += 1
         assert seen[0] > 0 and seen[1] > 0, seen
 
+    def test_reroute_subtree_matches_a_row_walk_at_20000_rows(self, rng):
+        """Grown trees over 20,000 rows: ``leaf_of_row``, which the grow move
+        writes, is each row's walked leaf, and from every internal node,
+        under its own rule and a redrawn one, ``reroute_subtree`` gives the
+        walked leaves as integer ids, whose ``np.bincount`` is the walk's
+        counts. Both kinds of node are rerouted from: children both leaves,
+        and not."""
+        ws = mixed_workspace(rng, 20_000)
+        forest = TestMovePath.grown_forest(rng, ws)
+        leaf_pair, routed = set(), 0
+        for t in forest.trees:
+            nodes = (t.var, t.cut, t.left, t.right)
+            assert np.array_equal(t.leaf_of_row, walk_rows(*nodes, ws.U, 0))
+            for v in t.internal_ids:
+                leaf_pair.add(t.var[t.left[v]] < 0 and t.var[t.right[v]] < 0)
+                under = t.leaves_under(v)
+                rows_under = np.flatnonzero(np.isin(t.leaf_of_row, under))
+                old = (v, t.var[v], t.cut_idx[v])
+                k = ws.splittable_cols[rng.integers(len(ws.splittable_cols))]
+                for rule in (old, (v, k, int(rng.integers(ws.grid_sizes[k])))):
+                    t.set_rule(*rule)
+                    walked = walk_rows(*nodes, ws.U[rows_under], v)
+                    got = t.reroute_subtree(v)
+                    t.set_rule(*old)
+                    expected = {leaf: int(np.count_nonzero(walked == leaf)) for leaf in under}
+                    if 0 in expected.values():
+                        assert got is None
+                        continue
+                    rows, leaves, counts = got
+                    assert leaves.dtype.kind == "i"
+                    assert np.array_equal(rows, rows_under)
+                    assert np.array_equal(leaves, walked)
+                    assert list(counts) == under and counts == expected
+                    routed += 1
+        assert leaf_pair == {True, False} and routed > 0
+
     def test_reroute_subtree_is_none_when_a_leaf_gets_no_row(self):
         t = Tree(make_ws(np.arange(4.0)[:, None]))  # cuts 0.5, 1.5, 2.5
         split(t, 0, 0, 1)  # rows 0, 1 to node 1; rows 2, 3 to node 2
@@ -799,6 +835,20 @@ def random_rows(rng, n, n_cols):
     return rng.choice(CUTS, size=(n, n_cols)) + rng.choice([0.0, 0.3], size=(n, n_cols))
 
 
+def walk_rows(var, cut, left, right, U, node, first=0):
+    """Oracle: the node each row of ``U`` reaches from ``node``, every row
+    stepping down one rule at a time until it stands on a leaf; child
+    indices count from ``first``."""
+    var, cut, left, right = (np.asarray(a) for a in (var, cut, left, right))
+    w = np.full(U.shape[0], node)
+    live = np.flatnonzero(var[w] >= 0)
+    while live.size:
+        at = w[live]
+        w[live] = first + np.where(U[live, var[at]] <= cut[at], left[at], right[at])
+        live = live[var[w[live]] >= 0]
+    return w
+
+
 def walk_predict(pf, U):
     """Oracle: each row walked down every tree one rule at a time, the leaf
     values added in tree order."""
@@ -807,11 +857,7 @@ def walk_predict(pf, U):
     for d, n_trees in enumerate(pf.trees_per_draw.tolist()):
         first = node
         for _ in range(n_trees):
-            for i, u in enumerate(U):
-                w = node
-                while pf.var[w] >= 0:
-                    w = first + (pf.left[w] if u[pf.var[w]] <= pf.cut[w] else pf.right[w])
-                out[d, i] += pf.value[w]
+            out[d] += pf.value[walk_rows(pf.var, pf.cut, pf.left, pf.right, U, node, first)]
             node += int(pf.nodes_per_tree[tree])
             tree += 1
     return out
@@ -832,6 +878,35 @@ class TestTreeFit:
                     want.append(value[w])
                 got = np.broadcast_to(tree_fit(var, cut, left, right, value, cols, node), 30)
                 assert got.tolist() == want
+
+    def test_leaf_pairs_and_nested_nodes_match_a_row_walk_at_20000_rows(self, rng):
+        """Over 20,000 random rows, where the select sees a random mask, the
+        fit below every node, whose children are both leaves or not, is the
+        walked leaf's value bit for bit."""
+        U = random_rows(rng, 20_000, 3)
+        cols = list(U.T)
+        leaf_pair = set()
+        for depth in (1, 3, 4, 8):
+            var, cut, left, right, value = random_tree(rng, 3, depth, chain=depth == 8)
+            for node in range(len(var)):
+                if var[node] >= 0:
+                    leaf_pair.add(var[left[node]] < 0 and var[right[node]] < 0)
+                want = np.asarray(value)[walk_rows(var, cut, left, right, U, node)]
+                got = np.broadcast_to(tree_fit(var, cut, left, right, value, cols, node),
+                                      want.shape)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert leaf_pair == {True, False}
+
+    def test_negative_zero_leaf_keeps_its_sign_at_20000_rows(self, rng):
+        # node 0's children are the leaves -0.0 (left) and 0.0; node 3 sends
+        # x <= 1 to node 0 and the rest to the leaf 0.0
+        x = rng.standard_normal(20_000)
+        var, cut = [0, -1, -1, 0, -1], [0.0, NAN, NAN, 1.0, NAN]
+        left, right = [1, -1, -1, 0, -1], [2, -1, -1, 4, -1]
+        for node in (0, 3):
+            fit = tree_fit(var, cut, left, right, [0.0, -0.0, 0.0, 0.0, 0.0], [x], node)
+            assert not fit.any()
+            assert np.array_equal(np.signbit(fit), x <= 0.0)
 
     def test_row_equal_to_the_cut_goes_left(self):
         cols = [np.array([0.5, 0.5000000000000001, 0.4999999999999999])]
@@ -857,6 +932,11 @@ class TestPredictMatrix:
             U = random_rows(rng, n, 4)
             assert np.array_equal(draws.predict_matrix(U), walk_predict(draws, U))
         assert np.array_equal(draws.predict_matrix(U[0]), walk_predict(draws, U[:1]))
+
+    def test_matches_a_row_walk_at_20000_rows(self, rng):
+        draws = PackedForest.stack([random_draw(rng, 4, n_trees) for n_trees in (1, 5, 12)])
+        U = random_rows(rng, 20_000, 4)
+        assert draws.predict_matrix(U).tobytes() == walk_predict(draws, U).tobytes()
 
     def test_arm_trees_with_a_draw_left_empty(self, rng):
         draws = PackedForest.stack([random_draw(rng, 3, 6), packed([COVARIATE_TREE]),

@@ -461,6 +461,25 @@ class TestImpute:
             assert np.all(out[cens] > log_y[cens])
             assert np.array_equal(out[~cens], log_y[~cens])
 
+    def test_index_gather_matches_a_boolean_mask_reference(self, rng):
+        """At n = 20,000 with about 45% of rows censored at random, and bounds
+        far enough above the mean that the tail sampler runs too, the
+        imputation is the boolean-mask gather and scatter, bit for bit."""
+        n, H = 20_000, 6
+        state = make_state(np.full(H, 1.0 / H), rng.standard_normal(H), sigma_sq=0.5,
+                           S=rng.integers(0, H, n), n=n)
+        m = rng.standard_normal(n)
+        log_y = 3.0 * rng.standard_normal(n)
+        delta = (rng.random(n) >= 0.45).astype(int)
+        got = impute_censored(state, m, delta, log_y, np.random.default_rng(7))
+        cens = delta == 0
+        want = log_y.copy()
+        mean = m[cens] + state.tau[state.S[cens]]
+        assert np.any((log_y[cens] - mean) / state.sigma > mixture.TAIL_SWITCH)
+        want[cens] = sample_truncnorm_lower(mean, state.sigma, log_y[cens],
+                                            np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
+
     def test_truncated_mean_at_two_sigma(self, rng):
         # bound = mean + 2 sigma: E[X | X > b] = mean + sigma * phi(2)/(1-Phi(2))
         mean, sigma = 0.4, 0.8
